@@ -1,5 +1,6 @@
 #include "check/arena_lint.hh"
 
+#include <algorithm>
 #include <string>
 
 namespace mbavf
@@ -71,6 +72,28 @@ lintArenaStructure(const LifetimeArena &arena, CheckReport &report)
                         std::to_string(ends[s - 1]));
             }
         }
+    }
+}
+
+void
+lintArenaLifetimes(const LifetimeArena &arena,
+                   const LifetimeLintOptions &opts, CheckReport &report)
+{
+    for (std::uint32_t w = 0; w < arena.numWords(); ++w) {
+        // Segments escaping the arrays are lintArenaStructure()'s
+        // arena.offset finding; never read past them here.
+        const std::uint64_t end =
+            std::min<std::uint64_t>(arena.offset(w) + arena.count(w),
+                                    arena.numSegments());
+        WordLifetime word;
+        for (std::uint64_t s = arena.offset(w); s < end; ++s) {
+            word.appendUnchecked(
+                {arena.begins()[s], arena.ends()[s], arena.masks()[s].ace,
+                 arena.masks()[s].read,
+                 arena.tags() ? arena.tags()[s] : noInstrTag});
+        }
+        lintWordLifetime(word, arena.wordWidth(), opts,
+                         wordWhere(arena, w), report);
     }
 }
 

@@ -27,13 +27,17 @@
  * needs no store — it is what `mbavf_lint --arena=FILE` runs on an
  * arena loaded from disk (the file loader already validated the
  * byte-level framing; this pass re-derives the semantic layout
- * invariants the kernel trusts). The file loader's own rejections
- * surface as `arena.file` in the tool.
+ * invariants the kernel trusts), together with lintArenaLifetimes(),
+ * which applies the lifetime lint (check/lifetime_lint.hh) to every
+ * word: the loader checks segment order but not masks or the
+ * horizon. The file loader's own rejections surface as `arena.file`
+ * in the tool.
  */
 
 #ifndef MBAVF_CHECK_ARENA_LINT_HH
 #define MBAVF_CHECK_ARENA_LINT_HH
 
+#include "check/lifetime_lint.hh"
 #include "check/report.hh"
 #include "core/lifetime.hh"
 #include "core/lifetime_arena.hh"
@@ -48,6 +52,14 @@ void lintLifetimeArena(const LifetimeArena &arena,
 
 /** Layout-only lint for arenas with no source store (file mode). */
 void lintArenaStructure(const LifetimeArena &arena,
+                        CheckReport &report);
+
+/**
+ * lintWordLifetime() over every arena word (lifetime.* codes): mask
+ * width, aceMask within readMask, and segments past @p opts.horizon.
+ */
+void lintArenaLifetimes(const LifetimeArena &arena,
+                        const LifetimeLintOptions &opts,
                         CheckReport &report);
 
 } // namespace mbavf

@@ -46,12 +46,7 @@ class WayPhysicalCacheArray : public PhysicalArray
   public:
     WayPhysicalCacheArray(const CacheGeometry &geom, unsigned interleave)
         : geom_(geom), ileave_(interleave)
-    {
-        if (geom.ways % interleave != 0) {
-            fatal("way-physical interleave ", interleave,
-                  " must divide ways ", geom.ways);
-        }
-    }
+    {}
 
     std::uint64_t
     rows() const override
@@ -95,12 +90,7 @@ class IndexPhysicalCacheArray : public PhysicalArray
     IndexPhysicalCacheArray(const CacheGeometry &geom,
                             unsigned interleave)
         : geom_(geom), ileave_(interleave)
-    {
-        if (geom.sets % interleave != 0) {
-            fatal("index-physical interleave ", interleave,
-                  " must divide sets ", geom.sets);
-        }
-    }
+    {}
 
     std::uint64_t
     rows() const override
@@ -140,18 +130,7 @@ class RegFileArray : public PhysicalArray
     RegFileArray(const RegFileGeometry &geom, RegInterleave style,
                  unsigned interleave)
         : geom_(geom), style_(style), ileave_(interleave)
-    {
-        if (style == RegInterleave::IntraThread &&
-            geom.numRegs % interleave != 0) {
-            fatal("intra-thread interleave ", interleave,
-                  " must divide registers ", geom.numRegs);
-        }
-        if (style == RegInterleave::InterThread &&
-            geom.numLanes % interleave != 0) {
-            fatal("inter-thread interleave ", interleave,
-                  " must divide lanes ", geom.numLanes);
-        }
-    }
+    {}
 
     std::uint64_t
     rows() const override
@@ -204,49 +183,114 @@ class RegFileArray : public PhysicalArray
     unsigned ileave_;
 };
 
+/** "@p what interleave @p interleave must divide @p noun @p count". */
+std::string
+divideError(const char *what, unsigned interleave, const char *noun,
+            unsigned count)
+{
+    return std::string(what) + " interleave " +
+           std::to_string(interleave) + " must divide " + noun + " " +
+           std::to_string(count);
+}
+
 } // namespace
+
+std::unique_ptr<PhysicalArray>
+tryMakeCacheArray(const CacheGeometry &geom, CacheInterleave style,
+                  unsigned interleave, std::string &error)
+{
+    if (interleave == 0) {
+        error = "interleave factor must be >= 1";
+        return nullptr;
+    }
+    if (style == CacheInterleave::Logical || interleave == 1)
+        return std::make_unique<LogicalCacheArray>(geom, interleave);
+    if (style == CacheInterleave::WayPhysical) {
+        if (geom.ways % interleave != 0) {
+            error = divideError("way-physical", interleave, "ways",
+                                geom.ways);
+            return nullptr;
+        }
+        return std::make_unique<WayPhysicalCacheArray>(geom, interleave);
+    }
+    if (geom.sets % interleave != 0) {
+        error =
+            divideError("index-physical", interleave, "sets", geom.sets);
+        return nullptr;
+    }
+    return std::make_unique<IndexPhysicalCacheArray>(geom, interleave);
+}
 
 std::unique_ptr<PhysicalArray>
 makeCacheArray(const CacheGeometry &geom, CacheInterleave style,
                unsigned interleave)
 {
-    if (interleave == 0)
-        fatal("interleave factor must be >= 1");
-    switch (style) {
-      case CacheInterleave::Logical:
-        return std::make_unique<LogicalCacheArray>(geom, interleave);
-      case CacheInterleave::WayPhysical:
-        if (interleave == 1)
-            return std::make_unique<LogicalCacheArray>(geom, 1);
-        return std::make_unique<WayPhysicalCacheArray>(geom, interleave);
-      case CacheInterleave::IndexPhysical:
-        if (interleave == 1)
-            return std::make_unique<LogicalCacheArray>(geom, 1);
-        return std::make_unique<IndexPhysicalCacheArray>(geom,
-                                                         interleave);
+    std::string error;
+    auto array = tryMakeCacheArray(geom, style, interleave, error);
+    if (!array)
+        fatal(error);
+    return array;
+}
+
+std::unique_ptr<PhysicalArray>
+tryMakeRegFileArray(const RegFileGeometry &geom, RegInterleave style,
+                    unsigned interleave, std::string &error)
+{
+    if (interleave == 0) {
+        error = "interleave factor must be >= 1";
+        return nullptr;
     }
-    panic("unreachable cache interleave style");
+    if (style == RegInterleave::IntraThread &&
+        geom.numRegs % interleave != 0) {
+        error = divideError("intra-thread", interleave, "registers",
+                            geom.numRegs);
+        return nullptr;
+    }
+    if (style == RegInterleave::InterThread &&
+        geom.numLanes % interleave != 0) {
+        error = divideError("inter-thread", interleave, "lanes",
+                            geom.numLanes);
+        return nullptr;
+    }
+    return std::make_unique<RegFileArray>(geom, style, interleave);
 }
 
 std::unique_ptr<PhysicalArray>
 makeRegFileArray(const RegFileGeometry &geom, RegInterleave style,
                  unsigned interleave)
 {
-    if (interleave == 0)
-        fatal("interleave factor must be >= 1");
-    return std::make_unique<RegFileArray>(geom, style, interleave);
+    std::string error;
+    auto array = tryMakeRegFileArray(geom, style, interleave, error);
+    if (!array)
+        fatal(error);
+    return array;
+}
+
+bool
+tryParseCacheInterleave(const std::string &name, CacheInterleave &style,
+                        std::string &error)
+{
+    if (name == "logical")
+        style = CacheInterleave::Logical;
+    else if (name == "way")
+        style = CacheInterleave::WayPhysical;
+    else if (name == "index")
+        style = CacheInterleave::IndexPhysical;
+    else {
+        error = "unknown cache interleave style '" + name + "'";
+        return false;
+    }
+    return true;
 }
 
 CacheInterleave
 parseCacheInterleave(const std::string &name)
 {
-    if (name == "logical")
-        return CacheInterleave::Logical;
-    if (name == "way")
-        return CacheInterleave::WayPhysical;
-    if (name == "index")
-        return CacheInterleave::IndexPhysical;
-    fatal("unknown cache interleave style '", name, "'");
+    CacheInterleave style = CacheInterleave::Logical;
+    std::string error;
+    if (!tryParseCacheInterleave(name, style, error))
+        fatal(error);
+    return style;
 }
 
 std::string

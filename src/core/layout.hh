@@ -137,6 +137,14 @@ makeCacheArray(const CacheGeometry &geom, CacheInterleave style,
                unsigned interleave);
 
 /**
+ * makeCacheArray() that returns null with the reason in @p error,
+ * instead of exiting, when the interleave does not fit the geometry.
+ */
+std::unique_ptr<PhysicalArray>
+tryMakeCacheArray(const CacheGeometry &geom, CacheInterleave style,
+                  unsigned interleave, std::string &error);
+
+/**
  * Build the physical array of a vector register file. Each 32-bit
  * register is its own protection domain (per the paper's case study).
  *
@@ -148,8 +156,17 @@ std::unique_ptr<PhysicalArray>
 makeRegFileArray(const RegFileGeometry &geom, RegInterleave style,
                  unsigned interleave);
 
+/** makeRegFileArray() with tryMakeCacheArray()'s error contract. */
+std::unique_ptr<PhysicalArray>
+tryMakeRegFileArray(const RegFileGeometry &geom, RegInterleave style,
+                    unsigned interleave, std::string &error);
+
 /** Parse "logical" | "way" | "index". */
 CacheInterleave parseCacheInterleave(const std::string &name);
+
+/** parseCacheInterleave() that returns false with the reason. */
+bool tryParseCacheInterleave(const std::string &name,
+                             CacheInterleave &style, std::string &error);
 
 /** Short display name of a cache interleaving style. */
 std::string cacheInterleaveName(CacheInterleave style);

@@ -41,7 +41,7 @@ DecTedScheme::checkBits(unsigned data_bits) const
 }
 
 std::unique_ptr<ProtectionScheme>
-makeScheme(const std::string &name)
+tryMakeScheme(const std::string &name, std::string &error)
 {
     if (name == "none")
         return std::make_unique<NoProtection>();
@@ -53,7 +53,18 @@ makeScheme(const std::string &name)
         return std::make_unique<DecTedScheme>();
     if (name == "crc")
         return std::make_unique<CrcDetectScheme>();
-    fatal("unknown protection scheme '", name, "'");
+    error = "unknown protection scheme '" + name + "'";
+    return nullptr;
+}
+
+std::unique_ptr<ProtectionScheme>
+makeScheme(const std::string &name)
+{
+    std::string error;
+    auto scheme = tryMakeScheme(name, error);
+    if (!scheme)
+        fatal(error);
+    return scheme;
 }
 
 } // namespace mbavf

@@ -148,6 +148,10 @@ class CrcDetectScheme : public ProtectionScheme
 std::unique_ptr<ProtectionScheme>
 makeScheme(const std::string &name);
 
+/** makeScheme() that returns null with the reason in @p error. */
+std::unique_ptr<ProtectionScheme>
+tryMakeScheme(const std::string &name, std::string &error);
+
 } // namespace mbavf
 
 #endif // MBAVF_CORE_PROTECTION_HH

@@ -148,11 +148,25 @@ Campaign::setProtection(const std::string &scheme_name,
         protectionDomainBits_ = 0;
         return;
     }
-    if (domain_bits == 0)
-        fatal("protection domain must be at least one bit wide");
+    if (const std::string error =
+            protectionError(scheme_name, domain_bits);
+        !error.empty())
+        fatal(error);
     scheme_ = makeScheme(scheme_name);
     schemeCode_ = "due." + scheme_name;
     protectionDomainBits_ = domain_bits;
+}
+
+std::string
+Campaign::protectionError(const std::string &scheme_name,
+                          unsigned domain_bits)
+{
+    if (scheme_name == "none")
+        return "";
+    if (domain_bits == 0)
+        return "protection domain must be at least one bit wide";
+    std::string error;
+    return tryMakeScheme(scheme_name, error) ? "" : error;
 }
 
 Campaign::ExecResult

@@ -185,6 +185,10 @@ class Campaign
     void setProtection(const std::string &scheme_name,
                        unsigned domain_bits);
 
+    /** Why setProtection() rejects its arguments, or "". */
+    static std::string protectionError(const std::string &scheme_name,
+                                       unsigned domain_bits);
+
     /** Inject the given flips and classify the outcome. */
     InjectOutcome inject(const std::vector<RegInjection> &flips) const;
 

@@ -105,14 +105,22 @@ takePick(PickHeap &heap, const std::vector<double> &scores)
 
 } // namespace
 
+std::string
+StratifyOptions::error() const
+{
+    if (windows == 0 || windows > 16)
+        return "stratify windows must be in [1, 16]";
+    if (maxClasses < 2)
+        return "stratify class cap must be at least 2";
+    return "";
+}
+
 Stratification
 Stratification::build(const Campaign &campaign,
                       const StratifyOptions &options)
 {
-    if (options.windows == 0 || options.windows > 16)
-        fatal("stratify windows must be in [1, 16]");
-    if (options.maxClasses < 2)
-        fatal("stratify class cap must be at least 2");
+    if (const std::string error = options.error(); !error.empty())
+        fatal(error);
     if (campaign.goldenInstrs() == 0)
         fatal("cannot stratify a workload with no instructions");
 

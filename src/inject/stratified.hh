@@ -68,6 +68,9 @@ struct StratifyOptions
      * stratum the analysis cannot prove Masked.
      */
     double predictedFloor = 0.02;
+
+    /** Why Stratification::build() rejects these options, or "". */
+    std::string error() const;
 };
 
 /** One (site class, window) stratum. */

@@ -2,19 +2,12 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdlib>
-#include <memory>
-#include <optional>
+#include <vector>
 
-#include "core/arena_io.hh"
-#include "core/layout.hh"
-#include "core/lifetime_arena.hh"
-#include "core/protection.hh"
-#include "core/sweep.hh"
-#include "inject/campaign.hh"
-#include "inject/stratified.hh"
 #include "obs/adapters.hh"
-#include "workloads/ace_runner.hh"
+#include "pipeline/pipeline.hh"
 
 namespace mbavf::serve
 {
@@ -38,154 +31,43 @@ bool
 runSweepShard(const JobConfig &config, obs::JsonValue &out,
               std::string &error)
 {
-    GpuConfig gpu;
-    LifetimeStore life(8, 64);
-    Cycle horizon = 0;
-    std::optional<LifetimeArena> arena;
-    if (!config.arenaIn.empty()) {
-        arena = tryLoadArena(config.arenaIn, error, &horizon);
-        if (!arena) {
-            error = "cannot load arena '" + config.arenaIn +
-                    "': " + error;
-            return false;
-        }
-        if (horizon == 0) {
-            error = "arena '" + config.arenaIn +
-                    "' records no producer horizon";
-            return false;
-        }
-    } else {
-        AceRun run = runAceAnalysis(config.workload, config.scale,
-                                    gpu, config.structure == "l2");
-        horizon = run.horizon;
-        if (config.structure == "l1")
-            life = std::move(run.l1);
-        else if (config.structure == "l2")
-            life = std::move(run.l2);
-        else if (config.structure == "vgpr")
-            life = std::move(run.vgpr);
-        else {
-            error = "unknown structure '" + config.structure + "'";
-            return false;
-        }
-    }
-
-    const unsigned word_width =
-        arena ? arena->wordWidth() : life.wordWidth();
-    const unsigned expected_width =
-        config.structure == "vgpr" ? 32 : 8;
-    if (word_width != expected_width) {
-        error = "lifetime word width " +
-                std::to_string(word_width) +
-                " does not match structure '" + config.structure +
-                "'";
+    Lifetimes lifetimes;
+    if (!readLifetimes(config, "", lifetimes, error))
         return false;
-    }
-
-    const std::string style = config.effectiveStyle();
-    std::unique_ptr<PhysicalArray> array;
-    if (config.structure == "vgpr") {
-        if (style != "intra" && style != "inter") {
-            error = "vgpr style must be intra|inter";
-            return false;
-        }
-        array = makeRegFileArray(gpu.regs,
-                                 style == "intra"
-                                     ? RegInterleave::IntraThread
-                                     : RegInterleave::InterThread,
-                                 config.interleave);
-    } else {
-        const CacheParams &cp =
-            config.structure == "l2" ? gpu.l2 : gpu.l1;
-        CacheGeometry geom{cp.sets, cp.ways, cp.lineBytes};
-        array = makeCacheArray(geom, parseCacheInterleave(style),
-                               config.interleave);
-    }
-
-    auto scheme = makeScheme(config.scheme);
-    MbAvfOptions opt;
-    opt.horizon = horizon;
-    opt.numWindows = config.windows;
-    opt.dueShieldsSdc = config.shieldDue ||
-        (config.structure == "vgpr" && style == "inter");
+    const Design design = makeDesign(config, lifetimes.horizon);
 
     applyFaultInstrumentation(config);
 
-    ModeSweep sweep = arena
-        ? sweepModesArena(*array, *arena, *scheme, opt, config.modes)
-        : sweepModes(*array, life, *scheme, opt, config.modes);
-    StructureSer ser =
-        sweepSer(sweep, caseStudyFaultRates(config.totalFit));
-
+    const SweepResult result = runSweep(config, design, lifetimes);
     out = obs::JsonValue::object();
     out.set("type", "sweep");
-    out.set("avf", obs::modeSweepJson(sweep));
-    out.set("ser", obs::serJson(ser));
+    out.set("avf", obs::modeSweepJson(result.sweep));
+    out.set("ser", obs::serJson(result.ser));
     return true;
 }
 
-/** "counts" object from a tally's outcome counters. */
+/** "counts" object: outcome name -> count. */
 obs::JsonValue
-countsJson(const CampaignTally &tally)
+countsJson(const std::array<std::uint64_t, numInjectOutcomes> &counts)
 {
-    obs::JsonValue counts = obs::JsonValue::object();
-    for (std::size_t i = 0; i < numInjectOutcomes; ++i) {
-        const InjectOutcome outcome = static_cast<InjectOutcome>(i);
-        counts.set(injectOutcomeName(outcome),
-                   obs::JsonValue(tally.count(outcome)));
+    obs::JsonValue out = obs::JsonValue::object();
+    for (std::size_t o = 0; o < numInjectOutcomes; ++o) {
+        out.set(injectOutcomeName(static_cast<InjectOutcome>(o)),
+                obs::JsonValue(counts[o]));
     }
-    return counts;
-}
-
-obs::JsonValue
-codesJson(const CampaignTally &tally)
-{
-    obs::JsonValue codes = obs::JsonValue::object();
-    for (const auto &[code, count] : tally.codeCounts)
-        codes.set(code, obs::JsonValue(count));
-    return codes;
+    return out;
 }
 
 /**
- * A stratified shard runs picks [firstTrial, firstTrial + numTrials)
- * of the deterministic allocation sequence. Besides the flat counts
- * every campaign shard emits (so mergeCampaignShards works
- * unchanged), it carries sparse per-stratum counts and — identically
+ * Sparse per-stratum counts of a stratified shard, and — identical
  * from every shard — the stratum table itself, so the supervisor can
  * fold the combined estimator without rebuilding the partition.
  */
-bool
-runStratifiedShard(const JobConfig &config, const ShardSpec &shard,
-                   Campaign &campaign, obs::JsonValue &out,
-                   std::string &error)
+void
+setStratifiedResult(const Stratification &strat,
+                    const std::vector<StratumTally> &tallies,
+                    obs::JsonValue &out)
 {
-    StratifyOptions options;
-    options.windows = config.stratifyWindows;
-    options.maxClasses = config.stratifyClasses;
-    if (options.windows == 0 || options.windows > 16 ||
-        options.maxClasses < 2) {
-        error = "stratify_windows must be 1..16 and "
-                "stratify_classes at least 2";
-        return false;
-    }
-    const Stratification strat =
-        Stratification::build(campaign, options);
-
-    applyFaultInstrumentation(config);
-
-    const std::vector<Stratification::Pick> picks =
-        strat.picks(shard.firstTrial, shard.numTrials);
-    CampaignTally tally;
-    std::vector<StratumTally> tallies(strat.strata().size());
-    for (const Stratification::Pick &pick : picks) {
-        const TrialResult result =
-            campaign.runOne(strat.trialSpec(pick, config.seed));
-        tally.add(result);
-        StratumTally &st = tallies[pick.stratum];
-        ++st.trials;
-        ++st.counts[static_cast<std::size_t>(result.outcome)];
-    }
-
     obs::JsonValue stratum_counts = obs::JsonValue::array();
     for (std::size_t h = 0; h < tallies.size(); ++h) {
         if (tallies[h].trials == 0)
@@ -193,13 +75,7 @@ runStratifiedShard(const JobConfig &config, const ShardSpec &shard,
         obs::JsonValue entry = obs::JsonValue::object();
         entry.set("stratum", obs::JsonValue(std::uint64_t(h)));
         entry.set("trials", obs::JsonValue(tallies[h].trials));
-        obs::JsonValue counts = obs::JsonValue::object();
-        for (std::size_t o = 0; o < numInjectOutcomes; ++o) {
-            counts.set(
-                injectOutcomeName(static_cast<InjectOutcome>(o)),
-                obs::JsonValue(tallies[h].counts[o]));
-        }
-        entry.set("counts", std::move(counts));
+        entry.set("counts", countsJson(tallies[h].counts));
         stratum_counts.push(std::move(entry));
     }
 
@@ -223,52 +99,41 @@ runStratifiedShard(const JobConfig &config, const ShardSpec &shard,
     }
     meta.set("table", std::move(table));
 
-    out = obs::JsonValue::object();
-    out.set("type", "campaign");
-    out.set("stratified", obs::JsonValue(true));
-    out.set("strata_hash", obs::JsonValue(strat.hash()));
-    out.set("trials", obs::JsonValue(tally.total()));
-    out.set("counts", countsJson(tally));
-    out.set("codes", codesJson(tally));
     out.set("stratum_counts", std::move(stratum_counts));
     out.set("strata_meta", std::move(meta));
-    return true;
 }
 
-bool
+/**
+ * A campaign shard runs trials (or, stratified, picks)
+ * [firstTrial, firstTrial + numTrials) of its job. Every campaign
+ * shard emits flat counts, so mergeCampaignShards works for both.
+ */
+void
 runCampaignShard(const JobConfig &config, const ShardSpec &shard,
-                 obs::JsonValue &out, std::string &error)
+                 obs::JsonValue &out)
 {
-    TrialKind kind = TrialKind::Register;
-    if (!parseTrialKind(config.kind, kind)) {
-        error = "unknown kind '" + config.kind + "'";
-        return false;
-    }
-
-    Campaign campaign(config.workload, config.scale, GpuConfig{});
-    campaign.setWatchdogMultiplier(config.watchdog);
-    if (config.protect != "none")
-        campaign.setProtection(config.protect, config.protectDomain);
-
-    if (config.stratify)
-        return runStratifiedShard(config, shard, campaign, out,
-                                  error);
+    const TrialPlan plan(config);
 
     applyFaultInstrumentation(config);
 
-    CampaignTally tally;
-    for (const TrialResult &result : campaign.runTrialsDetailed(
-             static_cast<std::size_t>(shard.firstTrial),
-             static_cast<std::size_t>(shard.numTrials), config.seed,
-             kind))
-        tally.add(result);
+    CampaignTallies tallies = plan.emptyTallies();
+    plan.run(shard.firstTrial, shard.numTrials, tallies);
 
+    const Stratification *strat = plan.stratification();
     out = obs::JsonValue::object();
     out.set("type", "campaign");
-    out.set("trials", obs::JsonValue(tally.total()));
-    out.set("counts", countsJson(tally));
-    out.set("codes", codesJson(tally));
-    return true;
+    if (strat) {
+        out.set("stratified", obs::JsonValue(true));
+        out.set("strata_hash", obs::JsonValue(strat->hash()));
+    }
+    out.set("trials", obs::JsonValue(tallies.flat.total()));
+    out.set("counts", countsJson(tallies.flat.counts));
+    obs::JsonValue codes = obs::JsonValue::object();
+    for (const auto &[code, count] : tallies.flat.codeCounts)
+        codes.set(code, obs::JsonValue(count));
+    out.set("codes", std::move(codes));
+    if (strat)
+        setStratifiedResult(*strat, tallies.strata, out);
 }
 
 } // namespace
@@ -277,9 +142,12 @@ bool
 runShard(const JobConfig &config, const ShardSpec &shard,
          obs::JsonValue &out, std::string &error)
 {
+    if (!validateJob(config, error))
+        return false;
     if (config.type == JobType::Sweep)
         return runSweepShard(config, out, error);
-    return runCampaignShard(config, shard, out, error);
+    runCampaignShard(config, shard, out);
+    return true;
 }
 
 obs::JsonValue

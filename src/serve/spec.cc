@@ -12,13 +12,6 @@ namespace mbavf::serve
 namespace
 {
 
-/** Render a number through JsonValue for a stable lexical form. */
-std::string
-canonicalNumber(double value)
-{
-    return obs::JsonValue(value).dump();
-}
-
 /** Fetch an optional member, type-checked. */
 bool
 getString(const obs::JsonValue &job, const char *key,
@@ -149,103 +142,14 @@ parseJob(const obs::JsonValue &doc, std::size_t index,
     job.stratifyWindows = static_cast<unsigned>(stratify_windows);
     job.stratifyClasses = static_cast<unsigned>(stratify_classes);
 
-    if (job.type == JobType::Sweep) {
-        if (job.workload.empty() == job.arenaIn.empty()) {
-            error = "job " + std::to_string(index) +
-                    ": a sweep needs exactly one of workload/arena";
-            return false;
-        }
-        if (job.modes == 0) {
-            error = "job " + std::to_string(index) +
-                    ": modes must be at least 1";
-            return false;
-        }
-    } else {
-        if (job.workload.empty()) {
-            error = "job " + std::to_string(index) +
-                    ": a campaign needs a workload";
-            return false;
-        }
-        if (job.trials == 0) {
-            error = "job " + std::to_string(index) +
-                    ": trials must be at least 1";
-            return false;
-        }
-        if (job.stratify && job.kind != "register") {
-            error = "job " + std::to_string(index) +
-                    ": stratify supports kind \"register\" only";
-            return false;
-        }
-    }
-    if (job.stratify && job.type != JobType::Campaign) {
-        error = "job " + std::to_string(index) +
-                ": stratify applies to campaign jobs only";
-        return false;
-    }
-    if (!job.fault.empty() && job.fault != "crash" &&
-        job.fault != "hang") {
-        error = "job " + std::to_string(index) +
-                ": fault must be \"crash\" or \"hang\"";
+    if (!validateJob(job, error)) {
+        error = "job " + std::to_string(index) + ": " + error;
         return false;
     }
     return true;
 }
 
 } // namespace
-
-const char *
-jobTypeName(JobType type)
-{
-    return type == JobType::Sweep ? "sweep" : "campaign";
-}
-
-std::string
-JobConfig::effectiveStyle() const
-{
-    if (!style.empty())
-        return style;
-    return structure == "vgpr" ? "inter" : "way";
-}
-
-std::string
-JobConfig::canonical() const
-{
-    std::string out;
-    out += "type=";
-    out += jobTypeName(type);
-    out += " workload=" + (workload.empty() ? "-" : workload);
-    out += " scale=" + std::to_string(scale);
-    if (type == JobType::Sweep) {
-        out += " structure=" + structure;
-        out += " scheme=" + scheme;
-        out += " style=" + effectiveStyle();
-        out += " interleave=" + std::to_string(interleave);
-        out += " modes=" + std::to_string(modes);
-        out += " windows=" + std::to_string(windows);
-        out += std::string(" shield_due=") +
-               (shieldDue ? "1" : "0");
-        out += " total_fit=" + canonicalNumber(totalFit);
-        out += " arena=" + (arenaIn.empty() ? "-" : arenaIn);
-    } else {
-        out += " trials=" + std::to_string(trials);
-        out += " seed=" + std::to_string(seed);
-        out += " kind=" + kind;
-        out += " watchdog=" + canonicalNumber(watchdog);
-        out += " protect=" + protect;
-        out += " protect_domain=" + std::to_string(protectDomain);
-        if (stratify) {
-            out += " stratify=1";
-            out += " stratify_windows=" +
-                   std::to_string(stratifyWindows);
-            out += " stratify_classes=" +
-                   std::to_string(stratifyClasses);
-            out += " budget=" + std::to_string(effectiveTrials());
-        }
-    }
-    if (!fault.empty())
-        out += " fault=" + fault;
-    return out;
-}
 
 bool
 JobSpec::parse(const obs::JsonValue &doc, JobSpec &out,

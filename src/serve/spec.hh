@@ -22,8 +22,10 @@
  * ranges. Trial t always draws from splitMix64(seed, t) regardless
  * of the split, so any sharding merges to the same tally.
  *
- * Every job has a canonical key=value rendering (canonical()) that
- * is the job's identity: the spec hash (queue-journal binding), the
+ * Each entry is a JobConfig (pipeline/job.hh), and parse() rejects
+ * any job validateJob() rejects, so a bad configuration never
+ * reaches a worker. The job's canonical() form
+ * is its identity: the spec hash (queue-journal binding), the
  * result-cache key, and the merged manifest's "spec" section all
  * derive from it, never from the raw JSON text — reformatting a spec
  * file does not invalidate caches.
@@ -42,76 +44,10 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "pipeline/job.hh"
 
 namespace mbavf::serve
 {
-
-/** What one job computes. */
-enum class JobType : std::uint8_t
-{
-    Sweep,    ///< mode sweep + SER (core/sweep.hh)
-    Campaign, ///< injection campaign tally (inject/campaign.hh)
-};
-
-/** Stable job-type name ("sweep" / "campaign"). */
-const char *jobTypeName(JobType type);
-
-/** One analysis job parsed from a spec file. */
-struct JobConfig
-{
-    JobType type = JobType::Sweep;
-    std::string workload;
-    unsigned scale = 1;
-
-    // Sweep configuration (mirrors the mbavf CLI defaults).
-    std::string structure = "l1";
-    std::string scheme = "parity";
-    std::string style;        ///< empty = structure default
-    unsigned interleave = 2;
-    unsigned modes = 8;
-    unsigned windows = 0;
-    bool shieldDue = false;
-    double totalFit = 100.0;
-    std::string arenaIn;      ///< sweep a saved arena (no workload)
-
-    // Campaign configuration.
-    std::uint64_t trials = 1000;
-    std::uint64_t seed = 1;
-    std::string kind = "register";
-    double watchdog = 8.0;
-    std::string protect = "none";
-    unsigned protectDomain = 8;
-    std::uint64_t shardTrials = 0; ///< 0 = the whole job is one shard
-
-    // Stratified campaign (inject/stratified.hh): shards become
-    // contiguous ranges of the deterministic pick sequence, so any
-    // split merges to the same per-stratum tallies. The canonical
-    // form only grows when stratify is on — uniform job identities
-    // (and their cache keys) are untouched.
-    bool stratify = false;
-    unsigned stratifyWindows = 8;
-    unsigned stratifyClasses = 64;
-    std::uint64_t budget = 0; ///< injected-trial budget; 0 = trials
-
-    /** Test instrumentation: "", "crash", or "hang". */
-    std::string fault;
-
-    /** Trials (uniform) or picks (stratified) the job runs. */
-    std::uint64_t
-    effectiveTrials() const
-    {
-        return stratify && budget != 0 ? budget : trials;
-    }
-
-    /** The structure-appropriate style when none was given. */
-    std::string effectiveStyle() const;
-
-    /**
-     * Deterministic key=value identity of this job — stable across
-     * spec-file reformatting, field order, and defaulted fields.
-     */
-    std::string canonical() const;
-};
 
 /** A parsed job-spec file. */
 struct JobSpec

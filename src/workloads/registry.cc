@@ -52,6 +52,12 @@ makeWorkload(const std::string &name, unsigned scale)
     return it->second(scale);
 }
 
+bool
+isWorkload(const std::string &name)
+{
+    return factories().count(name) != 0;
+}
+
 const std::vector<std::string> &
 workloadNames()
 {

@@ -70,6 +70,9 @@ class Workload
 std::unique_ptr<Workload> makeWorkload(const std::string &name,
                                        unsigned scale = 1);
 
+/** Whether makeWorkload() knows @p name. */
+bool isWorkload(const std::string &name);
+
 /** All registered workload names, in canonical order. */
 const std::vector<std::string> &workloadNames();
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Arena lint tests: a faithful snapshot is clean; malformed source
- * segments and post-build store mutations are flagged.
+ * segments and post-build store mutations are flagged; the lifetime
+ * rules that arena files get (masks, horizon) fire on arena words.
  */
 
 #include <gtest/gtest.h>
@@ -78,6 +79,42 @@ TEST(ArenaLint, FlagsConfigMismatch)
     CheckReport report;
     lintLifetimeArena(arena, other, report);
     EXPECT_TRUE(report.has("arena.config"));
+}
+
+TEST(ArenaLint, LifetimeRulesFlagMasksWiderThanTheWord)
+{
+    LifetimeStore store = smallStore();
+    store.container(4).words[1].append({0, 4, 0x100, 0x100});
+    LifetimeArena arena(store);
+    CheckReport report;
+    lintArenaLifetimes(arena, {}, report);
+    EXPECT_TRUE(report.has("lifetime.mask-width"));
+}
+
+TEST(ArenaLint, LifetimeRulesFlagAceBitsOutsideReadMask)
+{
+    LifetimeStore store = smallStore();
+    store.container(4).words[1].append({0, 4, 0x03, 0x01});
+    LifetimeArena arena(store);
+    CheckReport report;
+    lintArenaLifetimes(arena, {}, report);
+    EXPECT_TRUE(report.has("lifetime.ace-not-read"));
+}
+
+TEST(ArenaLint, LifetimeRulesFlagSegmentsPastTheHorizon)
+{
+    LifetimeStore store = smallStore();
+    LifetimeArena arena(store);
+    LifetimeLintOptions opts;
+    opts.horizon = 10; // the latest segment ends exactly here
+    CheckReport clean;
+    lintArenaLifetimes(arena, opts, clean);
+    EXPECT_TRUE(clean.clean());
+
+    opts.horizon = 9;
+    CheckReport report;
+    lintArenaLifetimes(arena, opts, report);
+    EXPECT_TRUE(report.has("lifetime.horizon"));
 }
 
 } // namespace

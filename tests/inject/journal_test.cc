@@ -3,7 +3,7 @@
  * Tests for the campaign checkpoint journal: round-trip, the
  * incremental writer's contiguous-prefix invariant, resume
  * bit-identity, the journal lint, and a truncation fuzz mirroring
- * the lifetime_io one: a journal cut at EVERY byte offset must
+ * the arena file's: a journal cut at EVERY byte offset must
  * either load as an exact prefix of the original (safe replay) or
  * be rejected -- never load wrong data.
  */

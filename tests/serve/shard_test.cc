@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for shard execution: a sweep shard yields the avf/ser
- * sections, and a campaign sharded into trial ranges merges to the
- * exact tally of the unsharded run — the invariant that makes any
- * sharding (and any kill/resume split) produce identical manifests.
+ * sections, and a campaign (uniform or stratified) sharded into
+ * trial ranges merges to the exact tally of the unsharded run — the
+ * invariant that makes any sharding (and any kill/resume split)
+ * produce identical manifests.
  */
 
 #include <gtest/gtest.h>
@@ -52,26 +53,41 @@ TEST(ShardTest, SweepShardYieldsAvfAndSer)
 
 TEST(ShardTest, ShardedCampaignMergesToTheUnshardedTally)
 {
-    const JobConfig job = campaignJob();
-    std::string error;
+    // Uniform trial ranges and stratified pick ranges alike.
+    for (const bool stratify : {false, true}) {
+        JobConfig job = campaignJob();
+        job.stratify = stratify;
+        std::string error;
 
-    obs::JsonValue whole;
-    ASSERT_TRUE(runShard(job, range(0, 40), whole, error)) << error;
+        obs::JsonValue whole;
+        ASSERT_TRUE(runShard(job, range(0, 40), whole, error)) << error;
 
-    obs::JsonValue first, second;
-    ASSERT_TRUE(runShard(job, range(0, 25), first, error)) << error;
-    ASSERT_TRUE(runShard(job, range(25, 15), second, error))
-        << error;
+        obs::JsonValue first, second;
+        ASSERT_TRUE(runShard(job, range(0, 25), first, error)) << error;
+        ASSERT_TRUE(runShard(job, range(25, 15), second, error))
+            << error;
 
-    const obs::JsonValue merged_whole = mergeCampaignShards({whole});
-    const obs::JsonValue merged_split =
-        mergeCampaignShards({first, second});
-    EXPECT_EQ(merged_whole.dump(), merged_split.dump());
+        const obs::JsonValue merged_whole = mergeCampaignShards({whole});
+        const obs::JsonValue merged_split =
+            mergeCampaignShards({first, second});
+        EXPECT_EQ(merged_whole.dump(), merged_split.dump());
 
-    // Shard order must not matter either: counts are sums.
-    const obs::JsonValue merged_swapped =
-        mergeCampaignShards({second, first});
-    EXPECT_EQ(merged_split.dump(), merged_swapped.dump());
+        // Shard order must not matter either: counts are sums.
+        const obs::JsonValue merged_swapped =
+            mergeCampaignShards({second, first});
+        EXPECT_EQ(merged_split.dump(), merged_swapped.dump());
+
+        if (stratify) {
+            obs::JsonValue strata_whole, strata_split;
+            ASSERT_TRUE(mergeStratifiedStrata(job, {whole}, strata_whole,
+                                              error))
+                << error;
+            ASSERT_TRUE(mergeStratifiedStrata(job, {first, second},
+                                              strata_split, error))
+                << error;
+            EXPECT_EQ(strata_whole.dump(), strata_split.dump());
+        }
+    }
 }
 
 TEST(ShardTest, BadConfigurationFailsWithAMessage)

@@ -83,6 +83,13 @@ TEST(ServeSpec, RejectsMalformedJobs)
             "workload": "histogram", "modes": "four"}]})")
             .find("modes"),
         std::string::npos);
+    // Configurations the pipeline would only reject after simulating
+    // are rejected up front (pipeline/job.hh validateJob()).
+    EXPECT_NE(
+        parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "scheme": "bogus"}]})")
+            .find("job 0: unknown protection scheme 'bogus'"),
+        std::string::npos);
 }
 
 TEST(ServeSpec, CanonicalIsStableAcrossFormatting)

@@ -50,11 +50,9 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
-#include "core/layout.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
 #include "obs/build_info.hh"
 #include "obs/manifest.hh"
+#include "pipeline/pipeline.hh"
 #include "workloads/ace_runner.hh"
 
 using namespace mbavf;
@@ -171,38 +169,38 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const std::string structure =
-        args.getString("structure", "vgpr");
-    const std::string scheme_name =
-        args.getString("scheme", "secded");
-    const std::string style = args.getString(
-        "style", structure == "vgpr" ? "inter" : "way");
-    const unsigned interleave =
-        static_cast<unsigned>(args.getInt("interleave", 2));
+    // The structure set-up is the shared pipeline's; only the
+    // defaults (the paper's VGPR case study) are this tool's.
+    JobConfig defaults;
+    defaults.structure = "vgpr";
+    defaults.scheme = "secded";
+    JobConfig job = jobFromArgs(args, defaults);
     const unsigned mode_size =
         static_cast<unsigned>(args.getInt("mode", 4));
+    job.modes = mode_size;
     const unsigned cover_modes =
         static_cast<unsigned>(args.getInt("cover-modes", 4));
     const unsigned top =
         static_cast<unsigned>(args.getInt("top", 10));
-    unsigned num_threads = 1;
-    if (args.has("threads")) {
-        num_threads =
-            static_cast<unsigned>(args.getInt("threads", 1));
-        setParallelThreads(num_threads == 0 ? 0 : num_threads);
+    std::string error;
+    if (!validateJob(job, error)) {
+        std::cerr << "mbavf_analyze: " << error << "\n";
+        return 1;
     }
+    setParallelThreads(static_cast<unsigned>(args.getInt("threads", 1)));
 
     const std::string manifest_path = args.getString("manifest", "");
     obs::Manifest manifest("mbavf_analyze");
 
-    AceRunOptions options;
-    options.scale = static_cast<unsigned>(args.getInt("scale", 1));
-    options.measureL2 = structure == "l2";
     ProgramCapture capture;
-    options.capture = &capture;
-
     std::cout << "analyzing '" << workload << "' ...\n";
-    AceRun run = runAceAnalysis(workload, options);
+    Lifetimes lifetimes;
+    if (!readLifetimes(job, "", lifetimes, error, &capture)) {
+        std::cerr << "mbavf_analyze: " << error << "\n";
+        return 1;
+    }
+    const LifetimeStore &life = lifetimes.store;
+    const Cycle horizon = lifetimes.horizon;
 
     CheckReport report;
     report.setPerCodeLimit(
@@ -245,62 +243,33 @@ main(int argc, char **argv)
     }
 
     // --- Layer 2: protection-coverage passes -------------------------
-    LifetimeStore &life = structure == "l1" ? run.l1
-        : structure == "l2"                 ? run.l2
-                                            : run.vgpr;
-    if (structure != "l1" && structure != "l2" &&
-        structure != "vgpr") {
-        fatal("unknown structure '", structure, "'");
-    }
-
-    std::unique_ptr<PhysicalArray> array;
-    if (structure == "vgpr") {
-        RegInterleave ri = style == "intra"
-            ? RegInterleave::IntraThread
-            : RegInterleave::InterThread;
-        if (style != "intra" && style != "inter")
-            fatal("vgpr style must be intra|inter");
-        array = makeRegFileArray(options.config.regs, ri, interleave);
-    } else {
-        const CacheParams &cp = structure == "l2"
-            ? options.config.l2
-            : options.config.l1;
-        CacheGeometry geom{cp.sets, cp.ways, cp.lineBytes};
-        array = makeCacheArray(geom, parseCacheInterleave(style),
-                               interleave);
-    }
-
-    auto scheme = makeScheme(scheme_name);
+    const Design design = makeDesign(job, horizon);
+    const PhysicalArray &array = *design.array;
+    const ProtectionScheme &scheme = *design.scheme;
     analyze::DomainLintOptions domain_opts;
     domain_opts.coverModes = cover_modes;
     if (corruption == "uncovered") {
-        UncoveredArray bad(*array);
-        analyze::lintDomainCoverage(bad, life, *scheme, domain_opts,
+        UncoveredArray bad(array);
+        analyze::lintDomainCoverage(bad, life, scheme, domain_opts,
                                     report);
     } else if (corruption == "mode-undetectable") {
         // Parity over an interleaved layout misses every even flip
         // count; modes >= interleave + 1 land two flips in one
         // domain and must be reported.
         auto parity = makeScheme("parity");
-        analyze::lintDomainCoverage(*array, life, *parity,
-                                    domain_opts, report);
+        analyze::lintDomainCoverage(array, life, *parity, domain_opts,
+                                    report);
     } else {
-        analyze::lintDomainCoverage(*array, life, *scheme,
-                                    domain_opts, report);
+        analyze::lintDomainCoverage(array, life, scheme, domain_opts,
+                                    report);
     }
 
     // --- Layer 3: attribution + conservation -------------------------
-    MbAvfOptions opt;
-    opt.horizon = run.horizon;
-    opt.numThreads = num_threads;
-    opt.dueShieldsSdc = args.getBool("shield-due") ||
-        (structure == "vgpr" && style == "inter");
     const FaultMode mode = FaultMode::mx1(mode_size);
-
     MbAvfResult reference =
-        computeMbAvf(*array, life, *scheme, mode, opt);
-    analyze::AttributionResult attr =
-        analyze::attributeMbAvf(*array, life, *scheme, mode, opt);
+        computeMbAvf(array, life, scheme, mode, design.options);
+    analyze::AttributionResult attr = analyze::attributeMbAvf(
+        array, life, scheme, mode, design.options);
 
     if (corruption == "conservation") {
         // One stray cycle breaks the partition; the checker must see
@@ -316,15 +285,16 @@ main(int argc, char **argv)
         analyze::checkConservation(attr, reference);
     if (!violation.empty()) {
         report.error("attr.conservation",
-                     structure + " " + scheme->name() + " " +
+                     job.structure + " " + scheme.name() + " " +
                          std::to_string(mode_size) + "x1",
                      violation);
     }
 
     // --- Report ------------------------------------------------------
-    std::cout << "\n" << structure << ", " << scheme->name() << ", "
-              << style << " x" << interleave << ", mode "
-              << mode_size << "x1, horizon " << run.horizon << "\n";
+    const std::string style = job.effectiveStyle();
+    std::cout << "\n" << job.structure << ", " << scheme.name() << ", "
+              << style << " x" << job.interleave << ", mode "
+              << mode_size << "x1, horizon " << horizon << "\n";
     std::cout << "attributed cycles: SDC "
               << attr.cycles[analyze::attrSdc] << ", trueDUE "
               << attr.cycles[analyze::attrTrueDue] << ", falseDUE "
@@ -372,17 +342,17 @@ main(int argc, char **argv)
     if (!manifest_path.empty()) {
         obs::JsonValue run_section = obs::JsonValue::object();
         run_section.set("workload", workload);
-        run_section.set("structure", structure);
-        run_section.set("scheme", scheme_name);
+        run_section.set("structure", job.structure);
+        run_section.set("scheme", job.scheme);
         run_section.set("style", style);
         run_section.set("interleave",
-                        obs::JsonValue(std::uint64_t(interleave)));
+                        obs::JsonValue(std::uint64_t(job.interleave)));
         run_section.set("mode",
                         std::to_string(mode_size) + "x1");
         run_section.set("cover_modes",
                         obs::JsonValue(std::uint64_t(cover_modes)));
         run_section.set("horizon",
-                        obs::JsonValue(std::uint64_t(run.horizon)));
+                        obs::JsonValue(std::uint64_t(horizon)));
         manifest.set("run", std::move(run_section));
 
         obs::JsonValue attribution = obs::JsonValue::object();

@@ -18,10 +18,8 @@
  * Modes:
  *   mbavf_lint --workload=NAME [--scale=N]   instrument a synthetic
  *       run and lint its lifetimes, event streams, and geometry
- *   mbavf_lint --lifetimes=FILE [--horizon=N]  lint a serialized
- *       store (plain or horizon-prefixed, as written by
- *       `mbavf --save-lifetimes`); malformed files are rejected
- *       with a message, never a crash
+ *   mbavf_lint --arena=FILE                  lint an arena persisted
+ *       by `mbavf --arena-out` (core/arena_io.hh)
  *   mbavf_lint --geometry-only               lint geometry combos only
  *
  * --arena additionally flattens each linted store into the sweep
@@ -29,11 +27,11 @@
  * offsets contiguous-monotone, per-word segments sorted and
  * disjoint, and an exact store <-> arena round trip.
  *
- * --arena=FILE instead lints an arena persisted by
- * `mbavf --arena-out` (core/arena_io.hh): the loader's byte-level
- * rejections surface as `arena.file` (exit 2, unusable input), and a
- * file that maps cleanly gets the structure-only layout lint — there
- * is no source store to round-trip against.
+ * In --arena=FILE mode the loader's byte-level rejections surface as
+ * `arena.file` (exit 2, unusable input), and a file that maps
+ * cleanly gets the structure-only layout lint plus the lifetime lint
+ * of every word against the file's recorded horizon — there is no
+ * source store to round-trip against.
  *
  * Exit codes: 0 = clean (warnings allowed), 1 = lint errors,
  * 2 = unusable input (bad file, bad arguments).
@@ -48,12 +46,10 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
 #include <optional>
-#include <string_view>
 
 #include "check/arena_lint.hh"
 #include "check/event_lint.hh"
@@ -62,7 +58,6 @@
 #include "check/report.hh"
 #include "common/args.hh"
 #include "core/arena_io.hh"
-#include "core/lifetime_io.hh"
 #include "inject/journal.hh"
 #include "obs/build_info.hh"
 #include "serve/cache.hh"
@@ -79,7 +74,6 @@ usage()
 {
     std::cout <<
         "usage: mbavf_lint --workload=NAME [options]\n"
-        "       mbavf_lint --lifetimes=FILE [--horizon=N]\n"
         "       mbavf_lint --journal=FILE\n"
         "       mbavf_lint --queue-journal=FILE\n"
         "       mbavf_lint --cache=DIR\n"
@@ -91,9 +85,9 @@ usage()
         "  --arena              also lint the flattened LifetimeArena\n"
         "                       of every linted store\n"
         "  --arena=FILE         lint an arena file written by\n"
-        "                       `mbavf --arena-out` (layout checks\n"
-        "                       only; loader rejections are\n"
-        "                       arena.file, exit 2)\n"
+        "                       `mbavf --arena-out` (layout and\n"
+        "                       lifetime checks; loader rejections\n"
+        "                       are arena.file, exit 2)\n"
         "  --max-findings=N     stored findings per code (16)\n"
         "  --seed-corruption=K  corrupt the artifact first; K is\n"
         "                       overlap | read-before-fill | straddle\n"
@@ -214,8 +208,8 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     args.requireKnown({
-        "help", "workload", "lifetimes", "horizon", "journal",
-        "queue-journal", "cache", "geometry-only", "arena", "scale",
+        "help", "workload", "journal", "queue-journal", "cache",
+        "geometry-only", "arena", "scale",
         "modes", "max-findings", "seed-corruption", "version",
     });
     if (args.getBool("help")) {
@@ -338,8 +332,9 @@ main(int argc, char **argv)
             }
         }
         std::string error;
+        Cycle horizon = 0;
         std::optional<LifetimeArena> arena =
-            tryLoadArena(load_path, error);
+            tryLoadArena(load_path, error, &horizon);
         if (corruption == "arena-file")
             std::remove(load_path.c_str());
         if (!arena) {
@@ -353,60 +348,16 @@ main(int argc, char **argv)
                   << arena->numWords() << " word(s), "
                   << arena->numSegments() << " segment(s)\n";
         lintArenaStructure(*arena, report);
-        return finish(report);
-    }
-
-    const std::string lifetimes_path =
-        args.getString("lifetimes", "");
-    if (!lifetimes_path.empty()) {
-        std::ifstream is(lifetimes_path, std::ios::binary);
-        if (!is) {
-            std::cerr << "mbavf_lint: cannot open '" << lifetimes_path
-                      << "'\n";
-            return 2;
-        }
-        // `mbavf --save-lifetimes` prefixes the store with a horizon
-        // word; detect plain stores by the magic at offset 0.
-        char head[8] = {};
-        is.read(head, sizeof(head));
-        if (!is) {
-            std::cerr << "mbavf_lint: '" << lifetimes_path
-                      << "' is too short to be a lifetime store\n";
-            return 2;
-        }
-        Cycle horizon = 0;
-        if (std::string_view(head, 8) == "MBAVFLT1") {
-            is.seekg(0);
-        } else {
-            std::memcpy(&horizon, head, sizeof(horizon));
-        }
-        if (args.has("horizon")) {
-            horizon =
-                static_cast<Cycle>(args.getInt("horizon", 0));
-        }
-
-        std::string error;
-        std::optional<LifetimeStore> store =
-            tryLoadLifetimeStore(is, error);
-        if (!store) {
-            std::cerr << "mbavf_lint: cannot load '" << lifetimes_path
-                      << "': " << error << "\n";
-            return 2;
-        }
-        if (corruption == "overlap")
-            seedOverlap(*store);
-
+        // As in --workload mode, cache lifetimes may legitimately
+        // run a DRAM latency past the horizon (the end-of-run flush
+        // fills the L2). The file does not say which cache level it
+        // holds, so every byte-word arena gets that allowance.
         LifetimeLintOptions opts;
-        opts.horizon = horizon;
-        lintLifetimeStore(*store, opts, report);
-        std::cout << "linted " << store->numContainers()
-                  << " container(s) from " << lifetimes_path << "\n";
-        if (lint_arena &&
-            !lintArenaOf(*store, lifetimes_path,
-                         corruption == "stale-arena", report)) {
-            std::cerr << "mbavf_lint: no lifetime to corrupt\n";
-            return 2;
+        if (horizon != 0) {
+            opts.horizon = horizon +
+                (arena->wordWidth() == 8 ? GpuConfig{}.dramLatency : 0);
         }
+        lintArenaLifetimes(*arena, opts, report);
         return finish(report);
     }
 
