@@ -53,7 +53,7 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale);
+        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
         CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
                            run.config.l1.lineBytes};
         auto array =

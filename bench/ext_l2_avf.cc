@@ -38,7 +38,8 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, true);
+        AceRun run = runAceAnalysis(name, scale, GpuConfig{},
+                                    AceStore::L1 | AceStore::L2);
         MbAvfOptions opt;
         opt.horizon = run.horizon;
         opt.numThreads = threads;

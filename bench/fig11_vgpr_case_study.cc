@@ -97,7 +97,8 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale);
+        AceRun run = runAceAnalysis(name, scale, GpuConfig{},
+                                    AceStore::Vgpr);
         MbAvfOptions base;
         base.horizon = run.horizon;
 

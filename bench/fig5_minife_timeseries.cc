@@ -34,7 +34,7 @@ main(int argc, char **argv)
               << ", L1 cache, parity\n\n";
 
     note("running " + workload);
-    AceRun run = runAceAnalysis(workload, scale);
+    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
     CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
                        run.config.l1.lineBytes};
     ParityScheme parity;

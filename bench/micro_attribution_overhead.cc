@@ -147,7 +147,8 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale);
+        AceRun run = runAceAnalysis(name, scale, GpuConfig{},
+                                    AceStore::Vgpr);
         auto array = makeRegFileArray(run.config.regs,
                                       RegInterleave::InterThread, 2);
         LifetimeStore stripped = stripTags(run.vgpr);

@@ -84,7 +84,7 @@ main(int argc, char **argv)
         counts.push_back(max_threads);
 
     note("simulating " + workload + " for lifetimes");
-    AceRun run = runAceAnalysis(workload, scale);
+    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
     CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
                        run.config.l1.lineBytes};
     auto array = makeCacheArray(geom, CacheInterleave::WayPhysical, 4);

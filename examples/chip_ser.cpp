@@ -57,8 +57,9 @@ main(int argc, char **argv)
               << "mix)\n\nDesign: L1 parity x2 logical, L2 SEC-DED "
               << "x2 way-physical, VGPR parity tx4\n\n";
 
-    AceRun run = runAceAnalysis(workload, 1, GpuConfig{},
-                                /*measure_l2=*/true);
+    AceRun run = runAceAnalysis(
+        workload, 1, GpuConfig{},
+        AceStore::L1 | AceStore::L2 | AceStore::Vgpr);
     const GpuConfig &cfg = run.config;
 
     auto mbits = [](double bits) { return bits / (1024 * 1024); };

@@ -39,7 +39,7 @@ main(int argc, char **argv)
               << "'\n\n";
 
     // ACE-analysis prediction: unprotected single-bit SDC AVF.
-    AceRun run = runAceAnalysis(workload);
+    AceRun run = runAceAnalysis(workload, 1, GpuConfig{}, AceStore::Vgpr);
     NoProtection none;
     MbAvfOptions opt;
     opt.horizon = run.horizon;

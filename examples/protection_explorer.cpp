@@ -38,7 +38,7 @@ main(int argc, char **argv)
     std::cout << "Protection design exploration for '" << workload
               << "' (L1 data array, 100 FIT raw)\n\n";
 
-    AceRun run = runAceAnalysis(workload, scale);
+    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
     CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
                        run.config.l1.lineBytes};
     MbAvfOptions opt;

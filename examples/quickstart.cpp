@@ -31,7 +31,7 @@ main(int argc, char **argv)
     std::cout << "mbavf quickstart: ACE analysis of '" << workload
               << "' (scale " << scale << ")\n";
 
-    AceRun run = runAceAnalysis(workload, scale);
+    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
     std::cout << "  horizon: " << run.horizon << " cycles\n"
               << "  L1: " << run.l1Stats.hits << " hits, "
               << run.l1Stats.misses << " misses\n"

@@ -67,7 +67,7 @@ void lintDataflow(const DataflowLog &log, const Liveness &liveness,
 
 /**
  * flow.overwrite and flow.uninit-read over raw per-register event
- * logs (RegFileAvfProbe::logs()). @p dataflow resolves reading
+ * logs (RegFileAvfProbe::takeLogs()). @p dataflow resolves reading
  * definitions to their instruction for uninit-read attribution.
  */
 void lintRegisterEvents(

@@ -45,6 +45,8 @@ struct LifeSegment
      * contribution to it.
      */
     InstrTag tag = noInstrTag;
+
+    bool operator==(const LifeSegment &) const = default;
 };
 
 /**
@@ -84,6 +86,8 @@ class WordLifetime
     /** Total ReadDead cycles of bit @p bit within [0, horizon). */
     Cycle readDeadCycles(unsigned bit, Cycle horizon) const;
 
+    bool operator==(const WordLifetime &) const = default;
+
   private:
     std::vector<LifeSegment> segs_;
 };
@@ -92,6 +96,8 @@ class WordLifetime
 struct ContainerLifetime
 {
     std::vector<WordLifetime> words;
+
+    bool operator==(const ContainerLifetime &) const = default;
 };
 
 /**
@@ -137,6 +143,12 @@ class LifetimeStore
                                 unsigned &bit_in_word) const;
 
     std::size_t numContainers() const { return containers_.size(); }
+
+    /**
+     * Equal word by word: same word shape, same containers, same
+     * segments (tags included), in any container order.
+     */
+    bool operator==(const LifetimeStore &) const = default;
 
     const std::unordered_map<std::uint64_t, ContainerLifetime> &
     containers() const

@@ -64,12 +64,12 @@ Gpu::finish()
     finished_ = true;
     horizon_ = clock_.now() + 1;
 
-    if (tracking_) {
+    if (tracking_ && refIndex_) {
         // Output buffers are consumed (fully live) at the horizon.
         for (const OutputRange &range : outputRanges_) {
-            refIndex_.addLoad(range.addr,
-                              static_cast<unsigned>(range.bytes),
-                              horizon_, noDef);
+            refIndex_->addLoad(range.addr,
+                               static_cast<unsigned>(range.bytes),
+                               horizon_, noDef);
         }
     }
     // Kernel-completion flush: write back all dirty state.

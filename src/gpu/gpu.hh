@@ -88,8 +88,16 @@ class Gpu
     const GpuConfig &config() const { return config_; }
 
     MainMemory &mem() { return *mem_; }
-    MemRefIndex &refIndex() { return refIndex_; }
     DataflowLog &dataflow() { return dataflow_; }
+
+    /**
+     * Attach the program-order reference index that every tracked
+     * load and store (and, at finish(), every output range) is
+     * recorded into; only the cache ACE probes read it. Null, the
+     * default, records nothing. Not owned.
+     */
+    void setRefIndex(MemRefIndex *index) { refIndex_ = index; }
+    MemRefIndex *refIndex() { return refIndex_; }
     Clock &clock() { return clock_; }
 
     Cache &l1(unsigned cu) { return *l1s_[cu]; }
@@ -219,7 +227,7 @@ class Gpu
     std::unique_ptr<Cache> l2_;
     std::vector<std::unique_ptr<Cache>> l1s_;
     std::vector<std::unique_ptr<VectorRegFile>> regFiles_;
-    MemRefIndex refIndex_;
+    MemRefIndex *refIndex_ = nullptr;
     DataflowLog dataflow_;
     bool tracking_ = true;
     bool tagging_ = true;

@@ -47,29 +47,26 @@ class RegFileAvfProbe : public RegFileListener
             logs_[container].read(t, consume_mask, def);
     }
 
-    /** Analysis phase: build per-bit lifetimes over [0, horizon). */
-    LifetimeStore
-    finalize(Cycle horizon, const LivenessResolver &live) const
-    {
-        LifetimeStore store(geom_.regBits, 1);
-        for (const auto &[container, log] : logs_) {
-            store.container(container).words[0] =
-                buildWordLifetime(log, horizon, geom_.regBits, live);
-        }
-        return store;
-    }
+    /**
+     * Analysis phase: build per-bit lifetimes over [0, horizon), one
+     * register per task on the shared pool. The result does not
+     * depend on the pool width.
+     */
+    LifetimeStore finalize(Cycle horizon,
+                           const LivenessResolver &live) const;
 
     const RegFileGeometry &geometry() const { return geom_; }
 
     /**
-     * Raw per-register event logs (container id -> time-ordered
-     * events). The program-analysis passes read these directly to
-     * find overwritten-before-read and uninitialized-read patterns.
+     * Move out the raw per-register event logs (container id ->
+     * time-ordered events), leaving the probe empty. The
+     * program-analysis passes read these directly to find
+     * overwritten-before-read and uninitialized-read patterns.
      */
-    const std::unordered_map<std::uint64_t, WordEventLog> &
-    logs() const
+    std::unordered_map<std::uint64_t, WordEventLog>
+    takeLogs()
     {
-        return logs_;
+        return std::move(logs_);
     }
 
   private:

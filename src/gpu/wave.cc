@@ -562,7 +562,8 @@ Wave::load(unsigned dst, unsigned addr, std::uint32_t offset)
             out.def = gpu_.dataflow().record(
                 std::span<const SrcUse>(srcs.data(), nsrcs),
                 currentTag());
-            gpu_.refIndex().addLoad(ea, 4, laneTime(lane), out.def);
+            if (MemRefIndex *refs = gpu_.refIndex())
+                refs->addLoad(ea, 4, laneTime(lane), out.def);
         }
 
         // Address consumption: dead iff the load itself is dead.
@@ -598,7 +599,8 @@ Wave::store(unsigned addr, unsigned src, std::uint32_t offset)
         if (tracking) {
             std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
             store_def = gpu_.dataflow().record(srcs, currentTag());
-            gpu_.refIndex().addStore(ea, 4, laneTime(lane));
+            if (MemRefIndex *refs = gpu_.refIndex())
+                refs->addStore(ea, 4, laneTime(lane));
             // A corrupt store address clobbers arbitrary state: the
             // whole address chain is conservatively live.
             std::array<SrcUse, 1> asrc{SrcUse{va.def, allBits, false}};
@@ -641,7 +643,8 @@ Wave::storeOut(unsigned addr, unsigned src, std::uint32_t offset)
             std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
             store_def = gpu_.dataflow().record(srcs, currentTag());
             gpu_.dataflow().markOutput(store_def);
-            gpu_.refIndex().addStore(ea, 4, laneTime(lane));
+            if (MemRefIndex *refs = gpu_.refIndex())
+                refs->addStore(ea, 4, laneTime(lane));
             std::array<SrcUse, 1> asrc{SrcUse{va.def, allBits, false}};
             DefId anchor = gpu_.dataflow().record(asrc);
             gpu_.dataflow().markOutput(anchor);

@@ -147,7 +147,7 @@ Stratification::build(const Campaign &campaign,
     AceRunOptions ace;
     ace.scale = campaign.scale();
     ace.config = campaign.config();
-    ace.probeAllVgprs = true;
+    ace.stores = AceStore::VgprPerCu;
     ace.sampleCyclesAt = strat.windowBounds_;
     const AceRun run = runAceAnalysis(campaign.workloadName(), ace);
     if (run.instrs != strat.goldenInstrs_) {

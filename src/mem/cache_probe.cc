@@ -1,10 +1,12 @@
 #include "mem/cache_probe.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bits.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
+#include "common/parallel.hh"
 
 namespace mbavf
 {
@@ -82,93 +84,125 @@ CacheAvfProbe::onEvict(unsigned set, unsigned way, Addr line_addr,
     slot(set, way).evicts.push_back({t, line_addr, dirty_bytes});
 }
 
-LifetimeStore
-CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
+WordEvent
+CacheAvfProbe::futureRead(Addr addr, Cycle t) const
 {
-    LifetimeStore store(8, geom_.lineBytes);
+    WordEvent ev{t, WordEvent::Kind::Read, 0, noDef, false, 0};
+    const ByteRef *ref = refIndex_.firstAfter(addr, t);
+    if (ref && ref->isLoad) {
+        ev.mask = 0xFF;
+        ev.def = ref->def;
+        ev.exact = true;
+        ev.relShift = ref->relShift;
+    }
+    return ev;
+}
 
-    struct Tagged
+void
+CacheAvfProbe::finalizeSlot(const SlotLog &s, Cycle horizon,
+                            const LivenessResolver &live,
+                            ContainerLifetime &life) const
+{
+    // The slot's line-level stream, sorted once by (time, prio). The
+    // sort is stable, so same-(time, prio) events keep the order
+    // fills, line reads, evicts.
+    struct LineEvent
     {
         Cycle time;
         Prio prio;
-        WordEvent event;
+        const Evict *evict; ///< EvictRead only
     };
-    std::vector<Tagged> merged;
+    std::vector<LineEvent> line;
+    line.reserve(s.fills.size() + s.lineReads.size() + s.evicts.size());
+    for (Cycle t : s.fills)
+        line.push_back({t, Prio::Fill, nullptr});
+    for (Cycle t : s.lineReads)
+        line.push_back({t, Prio::Access, nullptr});
+    for (const Evict &e : s.evicts) {
+        // A clean evict drops the data without reading it out.
+        if (e.dirtyBytes)
+            line.push_back({e.time, Prio::EvictRead, &e});
+    }
+    std::stable_sort(line.begin(), line.end(),
+                     [](const LineEvent &a, const LineEvent &b) {
+                         return a.time != b.time ? a.time < b.time
+                                                 : a.prio < b.prio;
+                     });
 
-    for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
-        const SlotLog &s = slots_[idx];
-        if (!s.touched)
-            continue;
-        ContainerLifetime &life = store.container(idx);
+    std::vector<const ByteAccess *> accesses;
+    WordEventLog log;
+    for (unsigned b = 0; b < geom_.lineBytes; ++b) {
+        // The byte's own accesses in time order: the lanes of one
+        // access can record out of order.
+        accesses.clear();
+        for (const ByteAccess &a : s.bytes[b])
+            accesses.push_back(&a);
+        std::stable_sort(accesses.begin(), accesses.end(),
+                         [](const ByteAccess *x, const ByteAccess *y) {
+                             return x->time < y->time;
+                         });
 
-        for (unsigned b = 0; b < geom_.lineBytes; ++b) {
-            merged.clear();
-
-            for (Cycle t : s.fills) {
-                merged.push_back(
-                    {t, Prio::Fill,
-                     {t, WordEvent::Kind::Write, 0xFF, noDef, false,
-                      0}});
+        log.events.clear();
+        log.events.reserve(line.size() + accesses.size());
+        auto emit_access = [&](const ByteAccess &a) {
+            if (a.isWrite) {
+                log.events.push_back({a.time, WordEvent::Kind::Write,
+                                      0xFF, noDef, false, 0, a.tag});
+            } else if (a.resolveFuture) {
+                log.events.push_back(futureRead(a.addr, a.time));
+            } else {
+                log.events.push_back({a.time, WordEvent::Kind::Read,
+                                      0xFF, a.def, true, a.relShift});
             }
-            for (Cycle t : s.lineReads) {
-                merged.push_back(
-                    {t, Prio::Access,
-                     {t, WordEvent::Kind::Read, 0, noDef, false, 0}});
-            }
-            for (const Evict &e : s.evicts) {
-                if (!e.dirtyBytes)
-                    continue; // clean: data dropped, never read out
+        };
+        // Byte accesses have the highest prio (Access), so one goes
+        // before a line event only at a strictly earlier cycle; at an
+        // equal (time, prio) the line read goes first.
+        std::size_t next = 0;
+        for (const LineEvent &e : line) {
+            while (next < accesses.size() && accesses[next]->time < e.time)
+                emit_access(*accesses[next++]);
+            switch (e.prio) {
+              case Prio::Fill:
+                log.write(e.time, 0xFF);
+                break;
+              case Prio::Access:
+                log.read(e.time, 0, noDef);
+                break;
+              case Prio::EvictRead:
                 // Write-back reads the whole line; the fate of byte b
                 // is its next program-level reference.
-                WordEvent ev{e.time, WordEvent::Kind::Read, 0, noDef,
-                             false, 0};
-                const ByteRef *ref =
-                    refIndex_.firstAfter(e.lineAddr + b, e.time);
-                if (ref && ref->isLoad) {
-                    ev.mask = 0xFF;
-                    ev.def = ref->def;
-                    ev.exact = true;
-                    ev.relShift = ref->relShift;
-                }
-                merged.push_back({e.time, Prio::EvictRead, ev});
+                log.events.push_back(
+                    futureRead(e.evict->lineAddr + b, e.time));
+                break;
             }
-            for (const ByteAccess &a : s.bytes[b]) {
-                WordEvent ev;
-                if (a.isWrite) {
-                    ev = {a.time, WordEvent::Kind::Write, 0xFF, noDef,
-                          false, 0, a.tag};
-                } else if (a.resolveFuture) {
-                    ev = {a.time, WordEvent::Kind::Read, 0, noDef,
-                          false, 0};
-                    const ByteRef *ref =
-                        refIndex_.firstAfter(a.addr, a.time);
-                    if (ref && ref->isLoad) {
-                        ev.mask = 0xFF;
-                        ev.def = ref->def;
-                        ev.exact = true;
-                        ev.relShift = ref->relShift;
-                    }
-                } else {
-                    ev = {a.time, WordEvent::Kind::Read, 0xFF, a.def,
-                          true, a.relShift};
-                }
-                merged.push_back({a.time, Prio::Access, ev});
-            }
-
-            std::stable_sort(
-                merged.begin(), merged.end(),
-                [](const Tagged &a, const Tagged &b) {
-                    return a.time != b.time ? a.time < b.time
-                                            : a.prio < b.prio;
-                });
-
-            WordEventLog log;
-            log.events.reserve(merged.size());
-            for (const Tagged &t : merged)
-                log.events.push_back(t.event);
-            life.words[b] = buildWordLifetime(log, horizon, 8, live);
         }
+        while (next < accesses.size())
+            emit_access(*accesses[next++]);
+        life.words[b] = buildWordLifetime(log, horizon, 8, live);
     }
+}
+
+LifetimeStore
+CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
+{
+    // Create the containers serially, in slot order, so the store is
+    // laid out the same at any pool width; each slot task then
+    // writes only its own container's words.
+    LifetimeStore store(8, geom_.lineBytes);
+    std::vector<std::pair<const SlotLog *, ContainerLifetime *>> work;
+    for (std::size_t idx = 0; idx < slots_.size(); ++idx) {
+        if (slots_[idx].touched)
+            work.emplace_back(&slots_[idx], &store.container(idx));
+    }
+
+    parallelFor(0, work.size(), 1,
+                [&](std::uint64_t begin, std::uint64_t end) {
+                    for (std::uint64_t i = begin; i < end; ++i) {
+                        const auto &[slot_log, life] = work[i];
+                        finalizeSlot(*slot_log, horizon, live, *life);
+                    }
+                });
     return store;
 }
 

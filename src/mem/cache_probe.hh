@@ -12,8 +12,10 @@
  * hosts different memory lines over time and its event stream simply
  * continues across generations. Because a parity/ECC word here is the
  * whole line, any access to a line is a read of the full protection
- * domain: per-slot line-read times are kept once and merged into
- * every byte's event stream during finalization.
+ * domain: per-slot line-read times are kept once. Finalization sorts
+ * each slot's line-level stream (fills, line reads, dirty
+ * write-backs) once and merges it into every byte's own accesses;
+ * slots finalize independently on the shared pool.
  */
 
 #ifndef MBAVF_MEM_CACHE_PROBE_HH
@@ -68,7 +70,9 @@ class CacheAvfProbe : public CacheListener
                  std::uint64_t dirty_bytes, Cycle t) override;
 
     /**
-     * Analysis phase: build per-bit lifetimes over [0, horizon).
+     * Analysis phase: build per-bit lifetimes over [0, horizon), one
+     * slot per task on the shared pool. The result does not depend
+     * on the pool width.
      *
      * @param horizon  end of the measurement window
      * @param live     relevance resolver from the Liveness analysis
@@ -111,6 +115,18 @@ class CacheAvfProbe : public CacheListener
     };
 
     SlotLog &slot(unsigned set, unsigned way);
+
+    /** Build the words of one slot's container into @p life. */
+    void finalizeSlot(const SlotLog &s, Cycle horizon,
+                      const LivenessResolver &live,
+                      ContainerLifetime &life) const;
+
+    /**
+     * A read of byte @p addr at @p t whose consumption is the
+     * program's next reference to the byte: consumed by that load,
+     * or by nothing when the next reference is a store or none.
+     */
+    WordEvent futureRead(Addr addr, Cycle t) const;
 
     CacheGeometry geom_;
     const MemRefIndex &refIndex_;

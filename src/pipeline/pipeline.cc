@@ -35,8 +35,10 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
     } else {
         AceRunOptions options;
         options.scale = job.scale;
-        options.measureL2 = job.structure == "l2";
         options.capture = capture;
+        options.stores = job.structure == "l2"     ? AceStore::L2
+                         : job.structure == "vgpr" ? AceStore::Vgpr
+                                                   : AceStore::L1;
         AceRun run = runAceAnalysis(job.workload, options);
         out.horizon = run.horizon;
         out.l1Stats = run.l1Stats;

@@ -51,8 +51,7 @@ struct Lifetimes
 
 /**
  * Read @p job's lifetimes: map job.arenaIn, or run job.workload with
- * the ACE probes and keep only job.structure's store, freeing the
- * others before the arena write and the sweep. A non-empty
+ * the ACE probes and build job.structure's store only. A non-empty
  * @p arena_out streams the store to that arena file
  * (core/arena_io.hh); @p capture, when non-null, receives the run's
  * program capture. False + @p error on an unusable arena file, or

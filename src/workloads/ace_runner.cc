@@ -1,9 +1,12 @@
 #include "workloads/ace_runner.hh"
 
+#include <functional>
 #include <optional>
 
+#include "common/parallel.hh"
 #include "gpu/regfile_probe.hh"
 #include "mem/cache_probe.hh"
+#include "mem/ref_index.hh"
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
 #include "trace/dataflow.hh"
@@ -16,41 +19,54 @@ runAceAnalysis(const std::string &workload_name,
                const AceRunOptions &options)
 {
     const GpuConfig &config = options.config;
-    const bool measure_l2 = options.measureL2;
+    const bool want_l1 = hasStore(options.stores, AceStore::L1);
+    const bool want_l2 = hasStore(options.stores, AceStore::L2);
+    const bool want_vgpr = hasStore(options.stores, AceStore::Vgpr);
+    const bool want_per_cu = hasStore(options.stores, AceStore::VgprPerCu);
 
     AceRun out;
     out.workload = workload_name;
     out.config = config;
 
+    // Only the cache probes read the program-order reference index;
+    // it outlives the Gpu that records into it.
+    MemRefIndex ref_index;
     Gpu gpu(config);
+    if (want_l1 || want_l2)
+        gpu.setRefIndex(&ref_index);
 
-    CacheGeometry l1_geom{config.l1.sets, config.l1.ways,
-                          config.l1.lineBytes};
-    CacheAvfProbe l1_probe(l1_geom, gpu.refIndex());
-    CacheListenerTee l1_tee(&l1_probe, options.l1Tap);
-    gpu.l1(0).setListener(&l1_tee);
+    const CacheGeometry l1_geom{config.l1.sets, config.l1.ways,
+                                config.l1.lineBytes};
+    std::optional<CacheAvfProbe> l1_probe;
+    if (want_l1)
+        l1_probe.emplace(l1_geom, ref_index);
+    CacheListenerTee l1_tee(l1_probe ? &*l1_probe : nullptr, options.l1Tap);
+    if (l1_probe || options.l1Tap)
+        gpu.l1(0).setListener(&l1_tee);
 
-    CacheGeometry l2_geom{config.l2.sets, config.l2.ways,
-                          config.l2.lineBytes};
-    CacheAvfProbe l2_probe(l2_geom, gpu.refIndex());
-    l2_probe.setResolveReadsViaRefIndex(true);
-    CacheListenerTee l2_tee(measure_l2 ? &l2_probe : nullptr,
-                            options.l2Tap);
-    if (measure_l2 || options.l2Tap)
+    const CacheGeometry l2_geom{config.l2.sets, config.l2.ways,
+                                config.l2.lineBytes};
+    std::optional<CacheAvfProbe> l2_probe;
+    if (want_l2) {
+        l2_probe.emplace(l2_geom, ref_index);
+        l2_probe->setResolveReadsViaRefIndex(true);
+    }
+    CacheListenerTee l2_tee(l2_probe ? &*l2_probe : nullptr, options.l2Tap);
+    if (l2_probe || options.l2Tap)
         gpu.l2().setListener(&l2_tee);
 
-    RegFileAvfProbe vgpr_probe(config.regs);
-    gpu.regFile(0).setListener(&vgpr_probe);
-
-    // Per-CU probes for the stratifier; CU0 reuses vgpr_probe so the
-    // historical vgpr store and vgprPerCu[0] come from one recording.
-    std::vector<std::unique_ptr<RegFileAvfProbe>> cu_probes;
-    if (options.probeAllVgprs) {
-        for (unsigned cu = 1; cu < config.numCus; ++cu) {
-            cu_probes.push_back(
-                std::make_unique<RegFileAvfProbe>(config.regs));
-            gpu.regFile(cu).setListener(cu_probes.back().get());
-        }
+    // VGPR probes for CUs [0, n): CU0's log feeds vgpr, vgprPerCu[0]
+    // and the program capture.
+    unsigned probed_cus = 0;
+    if (want_per_cu)
+        probed_cus = config.numCus;
+    else if (want_vgpr || options.capture)
+        probed_cus = 1;
+    std::vector<std::unique_ptr<RegFileAvfProbe>> vgpr_probes;
+    for (unsigned cu = 0; cu < probed_cus; ++cu) {
+        vgpr_probes.push_back(
+            std::make_unique<RegFileAvfProbe>(config.regs));
+        gpu.regFile(cu).setListener(vgpr_probes.back().get());
     }
 
     if (!options.sampleCyclesAt.empty())
@@ -94,39 +110,56 @@ runAceAnalysis(const std::string &workload_name,
 
     {
         obs::ObsPhase phase("ace.backward");
+        const Cycle horizon = out.horizon;
         LivenessResolver resolver = [&liveness](DefId def) {
             return static_cast<std::uint64_t>(
                 liveness->relevance(def));
         };
-        out.l1 = l1_probe.finalize(out.horizon, resolver);
-        out.vgpr = vgpr_probe.finalize(out.horizon, resolver);
-        if (measure_l2)
-            out.l2 = l2_probe.finalize(out.horizon, resolver);
-        if (options.probeAllVgprs) {
-            out.vgprPerCu.reserve(config.numCus);
-            out.vgprPerCu.push_back(
-                vgpr_probe.finalize(out.horizon, resolver));
-            for (auto &probe : cu_probes) {
-                out.vgprPerCu.push_back(
-                    probe->finalize(out.horizon, resolver));
+        // The stores are independent, so each is one pool task; every
+        // finalize fans out over its own containers in turn.
+        std::vector<std::function<void()>> builds;
+        if (want_l1) {
+            builds.emplace_back([&] {
+                out.l1 = l1_probe->finalize(horizon, resolver);
+            });
+        }
+        if (want_vgpr) {
+            builds.emplace_back([&] {
+                out.vgpr = vgpr_probes[0]->finalize(horizon, resolver);
+            });
+        }
+        if (want_l2) {
+            builds.emplace_back([&] {
+                out.l2 = l2_probe->finalize(horizon, resolver);
+            });
+        }
+        if (want_per_cu) {
+            out.vgprPerCu.assign(config.numCus,
+                                 LifetimeStore(config.regs.regBits, 1));
+            for (unsigned cu = 0; cu < config.numCus; ++cu) {
+                builds.emplace_back([&, cu] {
+                    out.vgprPerCu[cu] =
+                        vgpr_probes[cu]->finalize(horizon, resolver);
+                });
             }
         }
+        runTasks(builds.size(), [&builds](std::size_t i) { builds[i](); });
     }
     if (options.capture) {
-        options.capture->dataflow = gpu.dataflow();
-        options.capture->vgprEvents = vgpr_probe.logs();
+        options.capture->dataflow = std::move(gpu.dataflow());
+        options.capture->vgprEvents = vgpr_probes[0]->takeLogs();
     }
     return out;
 }
 
 AceRun
 runAceAnalysis(const std::string &workload_name, unsigned scale,
-               GpuConfig config, bool measure_l2)
+               GpuConfig config, AceStore stores)
 {
     AceRunOptions options;
     options.scale = scale;
     options.config = config;
-    options.measureL2 = measure_l2;
+    options.stores = stores;
     return runAceAnalysis(workload_name, options);
 }
 

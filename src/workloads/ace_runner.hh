@@ -26,9 +26,8 @@ namespace mbavf
 /**
  * Program-level artifacts of one instrumented run, captured for the
  * static-analysis passes (analyze/passes.hh): the full dataflow trace
- * and the raw per-register event logs. Both are copies taken after
- * the run — the Gpu and probes they came from are long gone by the
- * time the passes read them.
+ * and CU0's raw per-register event logs. Both are moved out of the
+ * Gpu and the probe at the end of the run, which destroys them.
  */
 struct ProgramCapture
 {
@@ -36,18 +35,22 @@ struct ProgramCapture
     std::unordered_map<std::uint64_t, WordEventLog> vgprEvents;
 };
 
-/** Everything the AVF benches need from one instrumented run. */
+/**
+ * Everything the AVF benches need from one instrumented run. Of the
+ * lifetime stores, only those AceRunOptions::stores requested are
+ * built; the others stay empty.
+ */
 struct AceRun
 {
     std::string workload;
     GpuConfig config;
     Cycle horizon = 0;
 
-    /** Per-bit lifetimes of CU0's L1 data array. */
+    /** Per-bit lifetimes of CU0's L1 data array (AceStore::L1). */
     LifetimeStore l1;
-    /** Per-bit lifetimes of CU0's vector register file. */
+    /** Per-bit lifetimes of CU0's vector register file (Vgpr). */
     LifetimeStore vgpr;
-    /** Per-bit lifetimes of the shared L2 (when measure_l2). */
+    /** Per-bit lifetimes of the shared L2 (AceStore::L2). */
     LifetimeStore l2;
 
     CacheStats l1Stats;
@@ -58,7 +61,7 @@ struct AceRun
     std::uint64_t instrs = 0;
 
     /**
-     * Per-CU VGPR lifetimes (when probe_all_vgprs), indexed by CU.
+     * Per-CU VGPR lifetimes (AceStore::VgprPerCu), indexed by CU.
      * Container ids are CU-local regId()s, exactly like vgpr.
      */
     std::vector<LifetimeStore> vgprPerCu;
@@ -73,6 +76,33 @@ struct AceRun
     AceRun() : l1(8, 64), vgpr(32, 1), l2(8, 64) {}
 };
 
+/**
+ * One lifetime store of an AceRun. AceRunOptions::stores is a set of
+ * them, combined with |.
+ */
+enum class AceStore : unsigned
+{
+    L1 = 1u << 0,        ///< AceRun::l1, CU0's L1 data array
+    Vgpr = 1u << 1,      ///< AceRun::vgpr, CU0's VGPR
+    L2 = 1u << 2,        ///< AceRun::l2, the shared L2
+    VgprPerCu = 1u << 3, ///< AceRun::vgprPerCu, every CU's VGPR
+};
+
+constexpr AceStore
+operator|(AceStore a, AceStore b)
+{
+    return static_cast<AceStore>(static_cast<unsigned>(a) |
+                                 static_cast<unsigned>(b));
+}
+
+/** True when the store set @p set includes @p store. */
+constexpr bool
+hasStore(AceStore set, AceStore store)
+{
+    return (static_cast<unsigned>(set) & static_cast<unsigned>(store)) ==
+           static_cast<unsigned>(store);
+}
+
 /** Optional knobs for runAceAnalysis. */
 struct AceRunOptions
 {
@@ -80,48 +110,49 @@ struct AceRunOptions
     unsigned scale = 1;
     GpuConfig config = {};
     /**
-     * Also probe the shared L2 (fill consumption resolved through
-     * the reference index).
-     */
-    bool measureL2 = false;
-    /**
      * Extra listeners tee'd with the ACE probes on CU0's L1 / the
      * shared L2; mbavf_lint hangs its event recorders here. May be
-     * null. The L2 tap observes events even when measureL2 is off.
+     * null. A tap observes its cache's events whether or not that
+     * cache's store is requested.
      */
     CacheListener *l1Tap = nullptr;
     CacheListener *l2Tap = nullptr;
     /**
-     * When non-null, receives the run's dataflow trace and raw VGPR
-     * event logs for the program-analysis passes. May be null (the
-     * copies are not free for large traces).
+     * When non-null, receives the run's dataflow trace and CU0's raw
+     * VGPR event logs for the program-analysis passes. CU0's VGPR is
+     * probed for it even when no VGPR store is requested. May be
+     * null.
      */
     ProgramCapture *capture = nullptr;
-    /**
-     * Probe every CU's VGPR (not just CU0's) and fill
-     * AceRun::vgprPerCu. The stratifier needs per-CU lifetimes:
-     * waves round-robin across CUs, so proving a site Unace on CU0
-     * says nothing about the same register on CU1.
-     */
-    bool probeAllVgprs = false;
     /**
      * Dynamic-instruction indices (sorted ascending) whose begin
      * cycles to record into AceRun::sampledCycles.
      */
     std::vector<std::uint64_t> sampleCyclesAt;
+    /**
+     * The lifetime stores to build. Only their probes are attached
+     * and finalized, and the program-order reference index is
+     * recorded only for a cache store, so a run pays for what its
+     * caller reads. The stratifier asks for VgprPerCu alone: waves
+     * round-robin across CUs, so proving a site Unace on CU0 says
+     * nothing about the same register on CU1.
+     */
+    AceStore stores = AceStore::L1 | AceStore::Vgpr;
 };
 
 /**
- * Run @p workload_name with ACE instrumentation on CU0's L1 and
- * VGPR (and optionally the shared L2).
+ * Run @p workload_name with ACE instrumentation and build the
+ * lifetime stores @p options requests. The stores are finalized on
+ * the shared pool (common/parallel.hh) and are identical at any
+ * pool width.
  */
 AceRun runAceAnalysis(const std::string &workload_name,
                       const AceRunOptions &options);
 
-/** Convenience overload matching the historical signature. */
+/** Convenience overload: default options but these. */
 AceRun runAceAnalysis(const std::string &workload_name,
                       unsigned scale = 1, GpuConfig config = {},
-                      bool measure_l2 = false);
+                      AceStore stores = AceStore::L1 | AceStore::Vgpr);
 
 } // namespace mbavf
 

@@ -104,8 +104,8 @@ TEST_F(L2ProbeTest, FillForDeadLoadIsNotAce)
 
 TEST(L2AceRun, EndToEndProducesL2Lifetimes)
 {
-    AceRun run =
-        runAceAnalysis("histogram", 1, GpuConfig{}, true);
+    AceRun run = runAceAnalysis("histogram", 1, GpuConfig{},
+                                AceStore::L1 | AceStore::L2);
     EXPECT_GT(run.l2.numContainers(), 0u);
 
     // L2 data was touched; at least one bit should carry ACE time

@@ -387,7 +387,7 @@ main(int argc, char **argv)
     AceRunOptions options;
     options.scale =
         static_cast<unsigned>(args.getInt("scale", 1));
-    options.measureL2 = true;
+    options.stores = AceStore::L1 | AceStore::Vgpr | AceStore::L2;
 
     CacheTraceRecorder l1_recorder({options.config.l1.sets,
                                     options.config.l1.ways,
