@@ -17,6 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/trap.hh"
 #include "inject/campaign.hh"
 
 namespace mbavf
@@ -67,17 +68,26 @@ BM_TrialCrashing(benchmark::State &state)
     Campaign &c = campaign();
     c.setWatchdogMultiplier(8.0);
     // Flip the sign bit of the histogram kernel's address register
-    // early in the run: the trial traps trap.mem.oob almost
-    // immediately, so this measures the raise/unwind/classify path.
+    // just before the load that reads it (dynamic instruction 5; an
+    // earlier flip is overwritten before any use): the trial traps
+    // trap.mem.oob almost immediately, so this measures the
+    // raise/unwind/classify path.
     RegInjection flip;
     flip.cu = 0;
     flip.slot = 0;
     flip.reg = 5;
     flip.lane = 0;
     flip.bitMask = 0x80000000u;
-    flip.triggerInstr = 1;
+    flip.triggerInstr = 5;
     TrialSpec spec;
     spec.regFlips.push_back(flip);
+    const TrialResult first = c.runOne(spec);
+    if (first.outcome != InjectOutcome::Crash ||
+        first.code != trapcode::memOob) {
+        state.SkipWithError("the flip no longer crashes with "
+                            "trap.mem.oob");
+        return;
+    }
     for (auto _ : state) {
         TrialResult r = c.runOne(spec);
         benchmark::DoNotOptimize(r.outcome);

@@ -1,7 +1,5 @@
 #include "gpu/gpu.hh"
 
-#include <ostream>
-
 #include "common/bits.hh"
 #include "common/logging.hh"
 #include "common/trap.hh"
@@ -97,36 +95,6 @@ void
 Gpu::armInjections(std::vector<RegInjection> injections)
 {
     injections_ = std::move(injections);
-}
-
-void
-Gpu::printStats(std::ostream &os) const
-{
-    os << "---------- stats ----------\n";
-    os << "sim.cycles            " << clock_.now() << "\n";
-    os << "sim.instructions      " << instrCount_ << "\n";
-    for (unsigned cu = 0; cu < config_.numCus; ++cu) {
-        const CacheStats &s = l1s_[cu]->stats();
-        os << "l1[" << cu << "].hits            " << s.hits << "\n";
-        os << "l1[" << cu << "].misses          " << s.misses << "\n";
-        os << "l1[" << cu << "].missRate        " << s.missRate()
-           << "\n";
-        os << "l1[" << cu << "].writebacks      " << s.writebacks
-           << "\n";
-        os << "vgpr[" << cu << "].reads          "
-           << regFiles_[cu]->reads() << "\n";
-        os << "vgpr[" << cu << "].writes         "
-           << regFiles_[cu]->writes() << "\n";
-    }
-    const CacheStats &l2s = l2_->stats();
-    os << "l2.hits               " << l2s.hits << "\n";
-    os << "l2.misses             " << l2s.misses << "\n";
-    os << "l2.missRate           " << l2s.missRate() << "\n";
-    os << "dram.accesses         " << dram_->accesses() << "\n";
-    os << "trace.defs            " << dataflow_.size() << "\n";
-    os << "trace.bytes           " << dataflow_.memoryBytes() << "\n";
-    os << "mem.footprint         " << mem_->allocatedBytes() << "\n";
-    os << "---------------------------\n";
 }
 
 void

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <vector>
 
@@ -203,9 +202,6 @@ class Gpu
 
     /** Host-side convenience buffer allocation. */
     Addr alloc(std::uint64_t bytes) { return mem_->alloc(bytes); }
-
-    /** gem5-style statistics dump: caches, VGPR traffic, trace. */
-    void printStats(std::ostream &os) const;
 
   private:
     friend class Wave;

@@ -9,29 +9,6 @@ VectorRegFile::VectorRegFile(const RegFileGeometry &geom)
 }
 
 void
-VectorRegFile::set(unsigned slot, unsigned reg, unsigned lane,
-                   const Value &value, Cycle t, InstrTag tag)
-{
-    std::uint64_t id = geom_.regId(slot, reg, lane);
-    values_[id] = value;
-    ++writes_;
-    if (listener_)
-        listener_->onRegWrite(id, t, tag);
-}
-
-void
-VectorRegFile::noteRead(unsigned slot, unsigned reg, unsigned lane,
-                        Cycle t, std::uint32_t consume_mask, DefId def,
-                        bool exact)
-{
-    ++reads_;
-    if (listener_) {
-        listener_->onRegRead(geom_.regId(slot, reg, lane), t,
-                             consume_mask, def, exact);
-    }
-}
-
-void
 VectorRegFile::flipBits(unsigned slot, unsigned reg, unsigned lane,
                         std::uint32_t mask)
 {

@@ -60,29 +60,49 @@ class VectorRegFile
         return values_[geom_.regId(slot, reg, lane)];
     }
 
+    /**
+     * The lanes of one (slot, reg), contiguous as regId() lays them
+     * out: lane i at index i. Accesses through it record no event.
+     */
+    Value *
+    lanes(unsigned slot, unsigned reg)
+    {
+        return &values_[geom_.regId(slot, reg, 0)];
+    }
+
     /** Write a register and notify the listener. */
-    void set(unsigned slot, unsigned reg, unsigned lane,
-             const Value &value, Cycle t, InstrTag tag = noInstrTag);
+    void
+    set(unsigned slot, unsigned reg, unsigned lane, const Value &value,
+        Cycle t, InstrTag tag = noInstrTag)
+    {
+        const std::uint64_t id = geom_.regId(slot, reg, lane);
+        values_[id] = value;
+        if (listener_)
+            listener_->onRegWrite(id, t, tag);
+    }
 
     /** Record a read (the caller fetched the value via get()). */
-    void noteRead(unsigned slot, unsigned reg, unsigned lane, Cycle t,
-                  std::uint32_t consume_mask, DefId def, bool exact);
+    void
+    noteRead(unsigned slot, unsigned reg, unsigned lane, Cycle t,
+             std::uint32_t consume_mask, DefId def, bool exact)
+    {
+        if (listener_) {
+            listener_->onRegRead(geom_.regId(slot, reg, lane), t,
+                                 consume_mask, def, exact);
+        }
+    }
 
     /** Fault injection: flip @p mask bits; no event is recorded. */
     void flipBits(unsigned slot, unsigned reg, unsigned lane,
                   std::uint32_t mask);
 
     void setListener(RegFileListener *listener) { listener_ = listener; }
-
-    std::uint64_t reads() const { return reads_; }
-    std::uint64_t writes() const { return writes_; }
+    bool hasListener() const { return listener_ != nullptr; }
 
   private:
     RegFileGeometry geom_;
     std::vector<Value> values_;
     RegFileListener *listener_ = nullptr;
-    std::uint64_t reads_ = 0;
-    std::uint64_t writes_ = 0;
 };
 
 } // namespace mbavf

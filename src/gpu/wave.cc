@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <type_traits>
 
 #include "common/bits.hh"
 #include "common/logging.hh"
@@ -16,38 +18,34 @@ namespace
 
 constexpr std::uint32_t allBits = ~std::uint32_t(0);
 
-std::uint32_t
-relAll(std::uint32_t, std::uint32_t)
-{
+// Relevance functors: the bits of one operand that can affect the
+// result, given its own bits and the other operand's.
+
+/** Every bit matters. */
+constexpr auto relAll = [](std::uint32_t, std::uint32_t) {
     return allBits;
-}
+};
 
 /** AND: a bit of one operand matters only where the other is 1. */
-std::uint32_t
-relAnd(std::uint32_t, std::uint32_t other)
-{
+constexpr auto relAnd = [](std::uint32_t, std::uint32_t other) {
     return other;
-}
+};
 
 /** OR: a bit of one operand matters only where the other is 0. */
-std::uint32_t
-relOr(std::uint32_t, std::uint32_t other)
-{
+constexpr auto relOr = [](std::uint32_t, std::uint32_t other) {
     return ~other;
-}
+};
 
 /** MUL: if the other operand is zero, no bit matters. */
-std::uint32_t
-relMul(std::uint32_t, std::uint32_t other)
-{
+constexpr auto relMul = [](std::uint32_t, std::uint32_t other) {
     return other == 0 ? 0 : allBits;
-}
+};
 
 } // namespace
 
 Wave::Wave(Gpu &gpu, unsigned cu, unsigned slot, unsigned wave_id)
-    : gpu_(gpu), cu_(cu), slot_(slot), waveId_(wave_id),
-      time_(gpu.clock().now())
+    : gpu_(gpu), rf_(gpu.regFile(cu)), cu_(cu), slot_(slot),
+      waveId_(wave_id), time_(gpu.clock().now())
 {
     execStack_.push_back(lowMask(gpu.config().wavefrontSize));
 }
@@ -56,12 +54,6 @@ unsigned
 Wave::laneCount() const
 {
     return gpu_.config().wavefrontSize;
-}
-
-bool
-Wave::laneActive(unsigned lane) const
-{
-    return bitAt(activeMask(), lane);
 }
 
 Cycle
@@ -75,6 +67,8 @@ Wave::beginInstr()
 {
     gpu_.preInstruction(time_);
     ++pc_;
+    tag_ = currentTag();
+    notify_ = rf_.hasListener();
 }
 
 InstrTag
@@ -113,133 +107,134 @@ Wave::checkReg(unsigned reg) const
                 " out of range (", gpu_.config().regs.numRegs, ")");
 }
 
-Value
-Wave::readReg(unsigned lane, unsigned reg, std::uint32_t consume,
-              DefId def, bool exact)
+template <typename Body>
+void
+Wave::forActiveLanes(Body &&body)
 {
-    VectorRegFile &rf = gpu_.regFile(cu_);
+    auto loop = [&](auto tracked) {
+        for (std::uint64_t m = activeMask(); m != 0; m &= m - 1)
+            body(tracked, static_cast<unsigned>(std::countr_zero(m)));
+    };
     if (gpu_.tracking())
-        rf.noteRead(slot_, reg, lane, laneTime(lane), consume, def,
-                    exact);
-    return rf.get(slot_, reg, lane);
+        loop(std::true_type{});
+    else
+        loop(std::false_type{});
 }
 
 void
-Wave::writeReg(unsigned lane, unsigned reg, const Value &value)
+Wave::noteRead(unsigned lane, unsigned reg, std::uint32_t consume,
+               DefId def, bool exact)
 {
-    gpu_.regFile(cu_).set(slot_, reg, lane, value, laneTime(lane),
-                          currentTag());
+    rf_.noteRead(slot_, reg, lane, laneTime(lane), consume, def, exact);
 }
 
+void
+Wave::writeLane(Value *lanes, unsigned reg, unsigned lane,
+                const Value &value)
+{
+    if (notify_)
+        rf_.set(slot_, reg, lane, value, laneTime(lane), tag_);
+    else
+        lanes[lane] = value;
+}
+
+void
+Wave::anchor(DefId def)
+{
+    std::array<SrcUse, 1> src{SrcUse{def, allBits, false}};
+    gpu_.dataflow().markOutput(gpu_.dataflow().record(src));
+}
+
+template <typename Fn, typename RelA, typename RelB>
 void
 Wave::binaryOp(unsigned dst, unsigned a, unsigned b, bool bitwise,
-               BinFn fn, RelFn rel_a, RelFn rel_b)
+               Fn fn, RelA rel_a, RelB rel_b)
 {
     checkReg(dst);
     checkReg(a);
     checkReg(b);
     beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, a, lane);
-        const Value vb = rf.get(slot_, b, lane);
-        const std::uint32_t ra = rel_a(va.bits, vb.bits);
-        const std::uint32_t rb = rel_b(vb.bits, va.bits);
-        Value out;
-        out.bits = fn(va.bits, vb.bits);
-        if (tracking) {
+    const Value *as = rf_.lanes(slot_, a);
+    const Value *bs = rf_.lanes(slot_, b);
+    Value *out_lanes = rf_.lanes(slot_, dst);
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value va = as[lane];
+        const Value vb = bs[lane];
+        Value out{fn(va.bits, vb.bits), noDef};
+        if constexpr (tracked) {
+            const std::uint32_t ra = rel_a(va.bits, vb.bits);
+            const std::uint32_t rb = rel_b(vb.bits, va.bits);
             std::array<SrcUse, 2> srcs{
                 SrcUse{va.def, ra, bitwise},
                 SrcUse{vb.def, rb, bitwise}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            // The register file reads both operands regardless of
+            // relevance; zero-relevance reads are pure array reads.
+            noteRead(lane, a, ra, out.def, bitwise);
+            noteRead(lane, b, rb, out.def, bitwise);
         }
-        // The register file reads both operands regardless of
-        // relevance; zero-relevance reads are pure array reads.
-        readReg(lane, a, ra, out.def, bitwise);
-        readReg(lane, b, rb, out.def, bitwise);
-        writeReg(lane, dst, out);
-    }
+        writeLane(out_lanes, dst, lane, out);
+    });
     time_ += gpu_.config().aluCycles;
 }
 
+template <typename Fn>
 void
 Wave::immOp(unsigned dst, unsigned a, std::uint32_t imm, bool bitwise,
-            BinFn fn, std::uint32_t relevance)
+            Fn fn, std::uint32_t relevance)
 {
     checkReg(dst);
     checkReg(a);
     beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, a, lane);
-        Value out;
-        out.bits = fn(va.bits, imm);
-        if (tracking) {
+    const Value *as = rf_.lanes(slot_, a);
+    Value *out_lanes = rf_.lanes(slot_, dst);
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value va = as[lane];
+        Value out{fn(va.bits, imm), noDef};
+        if constexpr (tracked) {
             std::array<SrcUse, 1> srcs{
                 SrcUse{va.def, relevance, bitwise}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            noteRead(lane, a, relevance, out.def, bitwise);
         }
-        readReg(lane, a, relevance, out.def, bitwise);
-        writeReg(lane, dst, out);
-    }
+        writeLane(out_lanes, dst, lane, out);
+    });
+    time_ += gpu_.config().aluCycles;
+}
+
+template <typename Fn>
+void
+Wave::laneOp(unsigned dst, Fn value)
+{
+    checkReg(dst);
+    beginInstr();
+    Value *out_lanes = rf_.lanes(slot_, dst);
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        Value out{value(lane), noDef};
+        if constexpr (tracked)
+            out.def = gpu_.dataflow().record({}, tag_);
+        writeLane(out_lanes, dst, lane, out);
+    });
     time_ += gpu_.config().aluCycles;
 }
 
 void
 Wave::movi(unsigned dst, std::uint32_t imm)
 {
-    checkReg(dst);
-    beginInstr();
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        Value out{imm, noDef};
-        if (tracking)
-            out.def = gpu_.dataflow().record({}, currentTag());
-        writeReg(lane, dst, out);
-    }
-    time_ += gpu_.config().aluCycles;
+    laneOp(dst, [imm](unsigned) { return imm; });
 }
 
 void
 Wave::globalId(unsigned dst)
 {
-    checkReg(dst);
-    beginInstr();
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        Value out{waveId_ * laneCount() + lane, noDef};
-        if (tracking)
-            out.def = gpu_.dataflow().record({}, currentTag());
-        writeReg(lane, dst, out);
-    }
-    time_ += gpu_.config().aluCycles;
+    const unsigned base = waveId_ * laneCount();
+    laneOp(dst, [base](unsigned lane) { return base + lane; });
 }
 
 void
 Wave::laneIdx(unsigned dst)
 {
-    checkReg(dst);
-    beginInstr();
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        Value out{lane, noDef};
-        if (tracking)
-            out.def = gpu_.dataflow().record({}, currentTag());
-        writeReg(lane, dst, out);
-    }
-    time_ += gpu_.config().aluCycles;
+    laneOp(dst, [](unsigned lane) { return lane; });
 }
 
 void
@@ -281,29 +276,28 @@ Wave::mad(unsigned dst, unsigned a, unsigned b, unsigned c)
     checkReg(b);
     checkReg(c);
     beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, a, lane);
-        const Value vb = rf.get(slot_, b, lane);
-        const Value vc = rf.get(slot_, c, lane);
-        const std::uint32_t ra = relMul(va.bits, vb.bits);
-        const std::uint32_t rb = relMul(vb.bits, va.bits);
-        Value out;
-        out.bits = va.bits * vb.bits + vc.bits;
-        if (tracking) {
+    const Value *as = rf_.lanes(slot_, a);
+    const Value *bs = rf_.lanes(slot_, b);
+    const Value *cs = rf_.lanes(slot_, c);
+    Value *out_lanes = rf_.lanes(slot_, dst);
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value va = as[lane];
+        const Value vb = bs[lane];
+        const Value vc = cs[lane];
+        Value out{va.bits * vb.bits + vc.bits, noDef};
+        if constexpr (tracked) {
+            const std::uint32_t ra = relMul(va.bits, vb.bits);
+            const std::uint32_t rb = relMul(vb.bits, va.bits);
             std::array<SrcUse, 3> srcs{
                 SrcUse{va.def, ra, false}, SrcUse{vb.def, rb, false},
                 SrcUse{vc.def, allBits, false}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            noteRead(lane, a, ra, out.def, false);
+            noteRead(lane, b, rb, out.def, false);
+            noteRead(lane, c, allBits, out.def, false);
         }
-        readReg(lane, a, ra, out.def, false);
-        readReg(lane, b, rb, out.def, false);
-        readReg(lane, c, allBits, out.def, false);
-        writeReg(lane, dst, out);
-    }
+        writeLane(out_lanes, dst, lane, out);
+    });
     time_ += gpu_.config().aluCycles;
 }
 
@@ -483,28 +477,28 @@ Wave::select(unsigned dst, unsigned pred, unsigned a, unsigned b)
     checkReg(a);
     checkReg(b);
     beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    const bool tracking = gpu_.tracking();
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value vp = rf.get(slot_, pred, lane);
+    const Value *ps = rf_.lanes(slot_, pred);
+    const Value *as = rf_.lanes(slot_, a);
+    const Value *bs = rf_.lanes(slot_, b);
+    Value *out_lanes = rf_.lanes(slot_, dst);
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value vp = ps[lane];
         const bool taken_a = vp.bits != 0;
-        const Value vt = rf.get(slot_, taken_a ? a : b, lane);
+        const Value vt = taken_a ? as[lane] : bs[lane];
         Value out{vt.bits, noDef};
-        if (tracking) {
+        if constexpr (tracked) {
             std::array<SrcUse, 2> srcs{
                 SrcUse{vp.def, allBits, false},
                 SrcUse{vt.def, allBits, false}};
-            out.def = gpu_.dataflow().record(srcs, currentTag());
+            out.def = gpu_.dataflow().record(srcs, tag_);
+            noteRead(lane, pred, allBits, out.def, false);
+            // The taken operand is consumed; the untaken one is still
+            // read out of the array (a pure read — logic masking).
+            noteRead(lane, taken_a ? a : b, allBits, out.def, false);
+            noteRead(lane, taken_a ? b : a, 0, noDef, false);
         }
-        readReg(lane, pred, allBits, out.def, false);
-        // The taken operand is consumed; the untaken one is still
-        // read out of the array (a pure read — logic masking).
-        readReg(lane, taken_a ? a : b, allBits, out.def, false);
-        readReg(lane, taken_a ? b : a, 0, noDef, false);
-        writeReg(lane, dst, out);
-    }
+        writeLane(out_lanes, dst, lane, out);
+    });
     time_ += gpu_.config().aluCycles;
 }
 
@@ -514,21 +508,20 @@ Wave::load(unsigned dst, unsigned addr, std::uint32_t offset)
     checkReg(dst);
     checkReg(addr);
     beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
     MainMemory &mem = gpu_.mem();
     Cache &l1 = gpu_.l1(cu_);
-    const bool tracking = gpu_.tracking();
+    MemRefIndex *refs = gpu_.refIndex();
+    const Value *addrs = rf_.lanes(slot_, addr);
+    Value *out_lanes = rf_.lanes(slot_, dst);
     Cycle done = time_ + gpu_.config().aluCycles;
 
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, addr, lane);
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value va = addrs[lane];
         const Addr ea = dataAddr(va.bits + offset);
+        const Cycle t = laneTime(lane);
 
-        Value out;
-        out.bits = mem.read32(ea);
-        if (tracking) {
+        Value out{mem.read32(ea), noDef};
+        if constexpr (tracked) {
             // Sources: the producing defs of the four bytes, with
             // positional relevance; bit-exact only when fully aligned
             // with the producing value's byte lanes.
@@ -560,155 +553,108 @@ Wave::load(unsigned dst, unsigned addr, std::uint32_t offset)
             if (nsrcs < DataflowLog::maxSrcs)
                 srcs[nsrcs++] = {va.def, allBits, false};
             out.def = gpu_.dataflow().record(
-                std::span<const SrcUse>(srcs.data(), nsrcs),
-                currentTag());
-            if (MemRefIndex *refs = gpu_.refIndex())
-                refs->addLoad(ea, 4, laneTime(lane), out.def);
+                std::span<const SrcUse>(srcs.data(), nsrcs), tag_);
+            if (refs)
+                refs->addLoad(ea, 4, t, out.def);
+            // Address consumption: dead iff the load itself is dead.
+            noteRead(lane, addr, allBits, out.def, false);
         }
 
-        // Address consumption: dead iff the load itself is dead.
-        readReg(lane, addr, allBits, out.def, false);
-
         MemRequest req{ea, 4, MemCmd::Read, out.def};
-        done = std::max(done, l1.access(req, laneTime(lane)));
-        writeReg(lane, dst, out);
-    }
+        done = std::max(done, l1.access(req, t));
+        writeLane(out_lanes, dst, lane, out);
+    });
+    time_ = done;
+}
+
+void
+Wave::storeOp(unsigned addr, unsigned src, std::uint32_t offset,
+              bool output)
+{
+    checkReg(addr);
+    checkReg(src);
+    beginInstr();
+    MainMemory &mem = gpu_.mem();
+    Cache &l1 = gpu_.l1(cu_);
+    MemRefIndex *refs = gpu_.refIndex();
+    const Value *addrs = rf_.lanes(slot_, addr);
+    const Value *datas = rf_.lanes(slot_, src);
+    Cycle done = time_ + gpu_.config().aluCycles;
+
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value va = addrs[lane];
+        const Value vs = datas[lane];
+        const Addr ea = dataAddr(va.bits + offset);
+        const Cycle t = laneTime(lane);
+
+        DefId store_def = noDef;
+        if constexpr (tracked) {
+            std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
+            store_def = gpu_.dataflow().record(srcs, tag_);
+            if (output)
+                gpu_.dataflow().markOutput(store_def);
+            if (refs)
+                refs->addStore(ea, 4, t);
+            // A corrupt store address clobbers arbitrary state: the
+            // whole address chain is conservatively live.
+            anchor(va.def);
+            noteRead(lane, addr, allBits, noDef, false);
+            noteRead(lane, src, allBits, store_def, true);
+        }
+
+        MemRequest req{ea, 4, MemCmd::Write, noDef, tag_};
+        done = std::max(done, l1.access(req, t));
+        mem.write32(ea, vs.bits);
+        if constexpr (tracked)
+            mem.setOrigin(ea, 4, store_def);
+    });
     time_ = done;
 }
 
 void
 Wave::store(unsigned addr, unsigned src, std::uint32_t offset)
 {
-    checkReg(addr);
-    checkReg(src);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    MainMemory &mem = gpu_.mem();
-    Cache &l1 = gpu_.l1(cu_);
-    const bool tracking = gpu_.tracking();
-    Cycle done = time_ + gpu_.config().aluCycles;
-
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, addr, lane);
-        const Value vs = rf.get(slot_, src, lane);
-        const Addr ea = dataAddr(va.bits + offset);
-
-        DefId store_def = noDef;
-        if (tracking) {
-            std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
-            store_def = gpu_.dataflow().record(srcs, currentTag());
-            if (MemRefIndex *refs = gpu_.refIndex())
-                refs->addStore(ea, 4, laneTime(lane));
-            // A corrupt store address clobbers arbitrary state: the
-            // whole address chain is conservatively live.
-            std::array<SrcUse, 1> asrc{SrcUse{va.def, allBits, false}};
-            DefId anchor = gpu_.dataflow().record(asrc);
-            gpu_.dataflow().markOutput(anchor);
-        }
-
-        readReg(lane, addr, allBits, noDef, false);
-        readReg(lane, src, allBits, store_def, true);
-
-        MemRequest req{ea, 4, MemCmd::Write, noDef, currentTag()};
-        done = std::max(done, l1.access(req, laneTime(lane)));
-        mem.write32(ea, vs.bits);
-        mem.setOrigin(ea, 4, store_def);
-    }
-    time_ = done;
+    storeOp(addr, src, offset, false);
 }
 
 void
 Wave::storeOut(unsigned addr, unsigned src, std::uint32_t offset)
 {
-    checkReg(addr);
-    checkReg(src);
+    storeOp(addr, src, offset, true);
+}
+
+void
+Wave::pushExec(unsigned cond, bool nonzero)
+{
+    checkReg(cond);
     beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    MainMemory &mem = gpu_.mem();
-    Cache &l1 = gpu_.l1(cu_);
-    const bool tracking = gpu_.tracking();
-    Cycle done = time_ + gpu_.config().aluCycles;
-
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value va = rf.get(slot_, addr, lane);
-        const Value vs = rf.get(slot_, src, lane);
-        const Addr ea = dataAddr(va.bits + offset);
-
-        DefId store_def = noDef;
-        if (tracking) {
-            std::array<SrcUse, 1> srcs{SrcUse{vs.def, allBits, true}};
-            store_def = gpu_.dataflow().record(srcs, currentTag());
-            gpu_.dataflow().markOutput(store_def);
-            if (MemRefIndex *refs = gpu_.refIndex())
-                refs->addStore(ea, 4, laneTime(lane));
-            std::array<SrcUse, 1> asrc{SrcUse{va.def, allBits, false}};
-            DefId anchor = gpu_.dataflow().record(asrc);
-            gpu_.dataflow().markOutput(anchor);
+    const Value *conds = rf_.lanes(slot_, cond);
+    std::uint64_t mask = 0;
+    forActiveLanes([&](auto tracked, unsigned lane) {
+        const Value vc = conds[lane];
+        if constexpr (tracked) {
+            // Control consumption is conservatively always live:
+            // anchor the condition's whole producing chain.
+            anchor(vc.def);
+            noteRead(lane, cond, allBits, noDef, false);
         }
-
-        readReg(lane, addr, allBits, noDef, false);
-        readReg(lane, src, allBits, store_def, true);
-
-        MemRequest req{ea, 4, MemCmd::Write, noDef, currentTag()};
-        done = std::max(done, l1.access(req, laneTime(lane)));
-        mem.write32(ea, vs.bits);
-        mem.setOrigin(ea, 4, store_def);
-    }
-    time_ = done;
+        if ((vc.bits != 0) == nonzero)
+            mask |= std::uint64_t(1) << lane;
+    });
+    execStack_.push_back(mask);
+    time_ += gpu_.config().aluCycles;
 }
 
 void
 Wave::pushExecNonzero(unsigned cond)
 {
-    checkReg(cond);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    std::uint64_t mask = 0;
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value vc = rf.get(slot_, cond, lane);
-        // Control consumption is conservatively always live: anchor
-        // the condition's whole producing chain.
-        if (gpu_.tracking()) {
-            std::array<SrcUse, 1> csrc{SrcUse{vc.def, allBits, false}};
-            DefId anchor = gpu_.dataflow().record(csrc);
-            gpu_.dataflow().markOutput(anchor);
-        }
-        readReg(lane, cond, allBits, noDef, false);
-        if (vc.bits != 0)
-            mask |= std::uint64_t(1) << lane;
-    }
-    execStack_.push_back(mask);
-    time_ += gpu_.config().aluCycles;
+    pushExec(cond, true);
 }
 
 void
 Wave::pushExecZero(unsigned cond)
 {
-    checkReg(cond);
-    beginInstr();
-    VectorRegFile &rf = gpu_.regFile(cu_);
-    std::uint64_t mask = 0;
-    for (unsigned lane = 0; lane < laneCount(); ++lane) {
-        if (!laneActive(lane))
-            continue;
-        const Value vc = rf.get(slot_, cond, lane);
-        if (gpu_.tracking()) {
-            std::array<SrcUse, 1> csrc{SrcUse{vc.def, allBits, false}};
-            DefId anchor = gpu_.dataflow().record(csrc);
-            gpu_.dataflow().markOutput(anchor);
-        }
-        readReg(lane, cond, allBits, noDef, false);
-        if (vc.bits == 0)
-            mask |= std::uint64_t(1) << lane;
-    }
-    execStack_.push_back(mask);
-    time_ += gpu_.config().aluCycles;
+    pushExec(cond, false);
 }
 
 void
@@ -729,7 +675,7 @@ Wave::anyActive() const
 std::uint32_t
 Wave::peek(unsigned reg, unsigned lane) const
 {
-    return gpu_.regFile(cu_).get(slot_, reg, lane).bits;
+    return rf_.get(slot_, reg, lane).bits;
 }
 
 } // namespace mbavf

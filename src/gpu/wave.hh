@@ -7,8 +7,16 @@
  * VGPR). Every operation executes functionally across the active
  * lanes, records the register/memory/dataflow events the ACE analysis
  * consumes, and advances the timing model (one wave instruction = 4
- * cycles, 16 lanes per cycle; memory operations coalesce per
- * quarter-wave into line requests against the CU's L1).
+ * cycles, 16 lanes per cycle). Memory operations do not coalesce:
+ * each active lane issues its own 4-byte request against the CU's
+ * L1, in lane order, at its quarter-wave's cycle.
+ *
+ * Each operation is one loop over the set bits of the exec mask. The
+ * tracked/untracked choice is made once per instruction, so with
+ * tracking off (injection trials) a lane does only its functional
+ * work, its address checks and its L1 access; the dataflow records
+ * and register read events of a tracked run compile out of that
+ * loop.
  *
  * Logic masking is value-aware where it is cheap and sound: AND/OR
  * record the other operand's current bits as the use's relevance,
@@ -31,6 +39,7 @@ namespace mbavf
 {
 
 class Gpu;
+class VectorRegFile;
 
 /** One executing wavefront. */
 class Wave
@@ -135,16 +144,14 @@ class Wave
     /// @}
 
   private:
-    /** value = fn(a, b). */
-    using BinFn = std::uint32_t (*)(std::uint32_t, std::uint32_t);
-    /** relevance of one operand = rel(own bits, other operand bits). */
-    using RelFn = std::uint32_t (*)(std::uint32_t, std::uint32_t);
-
     std::uint64_t activeMask() const { return execStack_.back(); }
-    bool laneActive(unsigned lane) const;
     Cycle laneTime(unsigned lane) const;
 
-    /** Charge one ALU instruction and bump the instruction counter. */
+    /**
+     * Charge one ALU instruction, bump the instruction counter, and
+     * fix what every lane of the instruction shares: its tag and
+     * whether the register file has a listener.
+     */
     void beginInstr();
 
     /**
@@ -155,37 +162,76 @@ class Wave
      */
     InstrTag currentTag() const;
 
-    /** Generic two-register ALU op. */
+    /**
+     * Generic two-register ALU op: dst = fn(a, b); rel_a(a, b) and
+     * rel_b(b, a) give each operand's relevance.
+     */
+    template <typename Fn, typename RelA, typename RelB>
     void binaryOp(unsigned dst, unsigned a, unsigned b, bool bitwise,
-                  BinFn fn, RelFn rel_a, RelFn rel_b);
+                  Fn fn, RelA rel_a, RelB rel_b);
 
-    /** Generic register-immediate ALU op. */
+    /** Generic register-immediate ALU op: dst = fn(a, imm). */
+    template <typename Fn>
     void immOp(unsigned dst, unsigned a, std::uint32_t imm,
-               bool bitwise, BinFn fn, std::uint32_t relevance);
+               bool bitwise, Fn fn, std::uint32_t relevance);
+
+    /** Op with no register source: dst = value(lane). */
+    template <typename Fn>
+    void laneOp(unsigned dst, Fn value);
 
     /**
-     * Clamp an effective address into simulated memory (word
-     * aligned). Golden addresses are always in range; this keeps
+     * Call @p body(tracked, lane) for every active lane, in ascending
+     * lane order. The tracked/untracked split is taken here, once per
+     * instruction: @p tracked is std::true_type or std::false_type,
+     * so `if constexpr (tracked)` compiles a body's recording work
+     * out of the untracked loop.
+     */
+    template <typename Body>
+    void forActiveLanes(Body &&body);
+
+    /** store() and storeOut(); @p output marks the stored value. */
+    void storeOp(unsigned addr, unsigned src, std::uint32_t offset,
+                 bool output);
+
+    /** Push exec &= ((cond != 0) == @p nonzero). */
+    void pushExec(unsigned cond, bool nonzero);
+
+    /**
+     * Check an effective address: trap trap.mem.align when it is not
+     * word aligned and trap.mem.oob when it runs past simulated
+     * memory. Golden addresses always pass; the traps keep
      * fault-injection runs with corrupted address registers
      * deterministic instead of out-of-bounds.
      */
     Addr dataAddr(std::uint64_t ea) const;
 
-    /** Read a register in a lane, recording the read event. */
-    Value readReg(unsigned lane, unsigned reg, std::uint32_t consume,
+    /** Record the read event of @p reg in @p lane (tracked runs). */
+    void noteRead(unsigned lane, unsigned reg, std::uint32_t consume,
                   DefId def, bool exact);
 
-    void writeReg(unsigned lane, unsigned reg, const Value &value);
+    /**
+     * Store @p value into lane @p lane of @p reg, whose lane array is
+     * @p lanes. Only a register-file listener makes this more than an
+     * array store.
+     */
+    void writeLane(Value *lanes, unsigned reg, unsigned lane,
+                   const Value &value);
+
+    /** Anchor @p def's whole producing chain as live (an output). */
+    void anchor(DefId def);
 
     void checkReg(unsigned reg) const;
 
     Gpu &gpu_;
+    VectorRegFile &rf_; ///< the CU's register file
     unsigned cu_;
     unsigned slot_;
     unsigned waveId_;
     std::vector<std::uint64_t> execStack_;
     Cycle time_; ///< wave-local time on the shared clock
     unsigned pc_ = 0; ///< wave-local operation issue index
+    InstrTag tag_ = noInstrTag; ///< currentTag(), fixed by beginInstr()
+    bool notify_ = false; ///< rf_ has a listener, fixed by beginInstr()
 };
 
 } // namespace mbavf

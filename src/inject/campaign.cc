@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "common/bits.hh"
 #include "common/check.hh"
@@ -86,10 +87,14 @@ constexpr double defaultWatchdogMultiplier = 8.0;
 std::uint64_t
 scaleBudget(std::uint64_t golden, double multiple)
 {
-    if (multiple <= 0.0)
+    if (!(multiple > 0.0))
         return 0;
-    double budget = static_cast<double>(golden) * multiple;
-    return budget < 1.0 ? 1 : static_cast<std::uint64_t>(budget);
+    // Converting a double at or past 2^64 (or NaN) to an integer is
+    // undefined, so saturate instead.
+    const double budget = static_cast<double>(golden) * multiple;
+    if (budget >= 0x1p64)
+        return std::numeric_limits<std::uint64_t>::max();
+    return budget >= 1.0 ? static_cast<std::uint64_t>(budget) : 1;
 }
 
 /** Per-outcome trial counters, registered once. */

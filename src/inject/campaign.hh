@@ -157,7 +157,9 @@ class Campaign
 
     /**
      * Rescale the watchdog budgets to @p multiple x the golden run
-     * (default 8). 0 disables the watchdog entirely.
+     * (default 8). 0 disables the watchdog entirely; a budget past
+     * 2^64 saturates. Jobs reject negative and non-finite multiples
+     * (validateJob()).
      */
     void setWatchdogMultiplier(double multiple);
 

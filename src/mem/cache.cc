@@ -18,25 +18,8 @@ Cache::Cache(const CacheParams &params, MemLevel &next)
         fatal(params.name, ": set count must be a power of two");
     if (params.ways == 0)
         fatal(params.name, ": needs at least one way");
-}
-
-unsigned
-Cache::setOf(Addr addr) const
-{
-    return static_cast<unsigned>((addr / params_.lineBytes) %
-                                 params_.sets);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return addr / params_.lineBytes / params_.sets;
-}
-
-Addr
-Cache::lineAddrOf(Addr addr) const
-{
-    return addr / params_.lineBytes * params_.lineBytes;
+    lineShift_ = floorLog2(params.lineBytes);
+    tagShift_ = lineShift_ + floorLog2(params.sets);
 }
 
 int
@@ -99,8 +82,7 @@ Cache::access(const MemRequest &req, Cycle now)
         Cycle t = now;
         if (victim.valid) {
             ++stats_.evictions;
-            Addr victim_addr = (victim.tag * params_.sets + set) *
-                params_.lineBytes;
+            Addr victim_addr = lineAddrAt(victim.tag, set);
             MBAVF_CHECK((victim.dirtyBytes &
                          ~lowMask(params_.lineBytes)) == 0,
                         params_.name,
@@ -134,8 +116,7 @@ Cache::access(const MemRequest &req, Cycle now)
     l.lruStamp = ++lruCounter_;
 
     const Cycle done = data_ready + params_.hitLatency;
-    const unsigned offset =
-        static_cast<unsigned>(req.addr % params_.lineBytes);
+    const unsigned offset = offsetOf(req.addr);
     if (req.cmd == MemCmd::Write) {
         std::uint64_t mask = lowMask(req.size) << offset;
         l.dirtyBytes |= mask;
@@ -158,8 +139,7 @@ Cache::flush(Cycle now)
             Line &l = line(set, way);
             if (!l.valid)
                 continue;
-            Addr line_addr =
-                (l.tag * params_.sets + set) * params_.lineBytes;
+            Addr line_addr = lineAddrAt(l.tag, set);
             ++stats_.evictions;
             MBAVF_CHECK((l.dirtyBytes &
                          ~lowMask(params_.lineBytes)) == 0,

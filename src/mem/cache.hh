@@ -54,15 +54,11 @@ class Dram : public MemLevel
     Cycle
     access(const MemRequest &, Cycle now) override
     {
-        ++accesses_;
         return now + latency_;
     }
 
-    std::uint64_t accesses() const { return accesses_; }
-
   private:
     Cycle latency_;
-    std::uint64_t accesses_ = 0;
 };
 
 /** Observer of one cache's microarchitectural events. */
@@ -181,8 +177,9 @@ struct CacheStats
 /**
  * Blocking set-associative cache with true-LRU replacement,
  * write-back write-allocate policy, and byte-granular dirty tracking.
+ * Final, so that a Wave's L1 calls are direct rather than virtual.
  */
-class Cache : public MemLevel
+class Cache final : public MemLevel
 {
   public:
     Cache(const CacheParams &params, MemLevel &next);
@@ -220,9 +217,35 @@ class Cache : public MemLevel
         return lines_[std::size_t(set) * params_.ways + way];
     }
 
-    unsigned setOf(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-    Addr lineAddrOf(Addr addr) const;
+    // Both sets and lineBytes are powers of two (checked in the
+    // constructor), so indexing is shifts and masks.
+    unsigned
+    setOf(Addr addr) const
+    {
+        return static_cast<unsigned>(addr >> lineShift_) &
+            (params_.sets - 1);
+    }
+
+    Addr tagOf(Addr addr) const { return addr >> tagShift_; }
+
+    Addr
+    lineAddrOf(Addr addr) const
+    {
+        return addr & ~Addr(params_.lineBytes - 1);
+    }
+
+    unsigned
+    offsetOf(Addr addr) const
+    {
+        return static_cast<unsigned>(addr) & (params_.lineBytes - 1);
+    }
+
+    /** Base address of the line holding @p tag in @p set. */
+    Addr
+    lineAddrAt(Addr tag, unsigned set) const
+    {
+        return ((tag << (tagShift_ - lineShift_)) | set) << lineShift_;
+    }
 
     /** Find the hit way, or -1. */
     int findWay(unsigned set, Addr tag) const;
@@ -231,6 +254,8 @@ class Cache : public MemLevel
     unsigned victimWay(unsigned set) const;
 
     CacheParams params_;
+    unsigned lineShift_ = 0; ///< log2(lineBytes)
+    unsigned tagShift_ = 0;  ///< log2(lineBytes) + log2(sets)
     MemLevel &next_;
     CacheListener *listener_ = nullptr;
     std::vector<Line> lines_;

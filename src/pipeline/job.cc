@@ -1,5 +1,7 @@
 #include "pipeline/job.hh"
 
+#include <cmath>
+
 #include "common/args.hh"
 #include "inject/campaign.hh"
 #include "inject/stratified.hh"
@@ -29,6 +31,10 @@ checkCampaign(const JobConfig &job, std::string &error)
     }
     if (job.trials == 0) {
         error = "trials must be at least 1";
+        return false;
+    }
+    if (!std::isfinite(job.watchdog) || job.watchdog < 0.0) {
+        error = "watchdog must be a finite multiple >= 0";
         return false;
     }
     TrialKind kind = TrialKind::Register;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -86,6 +87,18 @@ TEST(JobValidation, RejectsOneBadValuePerField)
          "a campaign needs a workload"},
         {campaignJob(), [](JobConfig &j) { j.trials = 0; },
          "trials must be at least 1"},
+        {campaignJob(),
+         [](JobConfig &j) {
+             j.watchdog = std::numeric_limits<double>::quiet_NaN();
+         },
+         "watchdog must be a finite multiple >= 0"},
+        {campaignJob(),
+         [](JobConfig &j) {
+             j.watchdog = std::numeric_limits<double>::infinity();
+         },
+         "watchdog must be a finite multiple >= 0"},
+        {campaignJob(), [](JobConfig &j) { j.watchdog = -1; },
+         "watchdog must be a finite multiple >= 0"},
         {campaignJob(), [](JobConfig &j) { j.kind = "bogus"; },
          "unknown kind 'bogus' (register|memory)"},
         {campaignJob(), [](JobConfig &j) { j.protect = "bogus"; },

@@ -83,6 +83,11 @@ TEST(ServeSpec, RejectsMalformedJobs)
             "workload": "histogram", "modes": "four"}]})")
             .find("modes"),
         std::string::npos);
+    EXPECT_NE(
+        parseError(R"({"jobs": [{"type": "campaign",
+            "workload": "histogram", "watchdog": -1}]})")
+            .find("job 0: watchdog must be a finite multiple >= 0"),
+        std::string::npos);
     // Configurations the pipeline would only reject after simulating
     // are rejected up front (pipeline/job.hh validateJob()).
     EXPECT_NE(
