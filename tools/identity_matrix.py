@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Bit-identity matrix: hash the deterministic outputs of whole mbavf runs.
+
+Every entry runs one or more mbavf / mbavf_analyze commands at scale 1,
+hashes what they must reproduce bit for bit, and compares the hashes
+with the checked-in golden file (ci/golden/IDENTITY.json):
+
+  sweep/<workload>     mbavf --structure=S --threads=T --arena-out
+                       --manifest for S in {l1, l2, vgpr} and T in
+                       {1, 4}; both thread counts must give the one
+                       recorded hash of the manifest and of the arena
+  campaign/<workload>  seeded uniform register and memory campaigns
+  stratified           one seeded stratified campaign
+  analyze              one mbavf_analyze run (manifest, stdout and
+                       exit status)
+
+A manifest's deterministic sections are all of it except "phases",
+"env" and "build", which hold timings, the thread count and the
+compiler. They are hashed as canonical JSON (sorted keys).
+
+Usage:
+  identity_matrix.py --bin DIR [--golden FILE] [--only ENTRY]
+  identity_matrix.py --bin DIR --record
+
+--bin is the directory holding the mbavf and mbavf_analyze binaries.
+--only checks a single entry (ctest runs one entry per test). --record
+runs every entry and rewrites the golden file; use it only in a change
+that says which results move, and why.
+"""
+
+import argparse
+import hashlib
+import json
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+GOLDEN = pathlib.Path(__file__).resolve().parent.parent / "ci" / "golden" / \
+    "IDENTITY.json"
+
+# workloadNames(), in registry order.
+WORKLOADS = [
+    "minife", "comd", "srad", "hotspot", "pathfinder", "bfs", "kmeans",
+    "nw", "lud", "backprop", "scan_large_arrays", "prefix_sum",
+    "dwt_haar1d", "fast_walsh", "dct", "histogram", "matrix_transpose",
+    "recursive_gaussian", "matmul",
+]
+STRUCTURES = ["l1", "l2", "vgpr"]
+THREADS = [1, 4]
+CAMPAIGN_WORKLOADS = ["bfs", "nw", "histogram", "minife"]
+NONDETERMINISTIC = {"phases", "env", "build"}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def manifest_hash(path):
+    doc = json.loads(pathlib.Path(path).read_text())
+    kept = {k: v for k, v in doc.items() if k not in NONDETERMINISTIC}
+    return sha256(json.dumps(kept, sort_keys=True).encode())
+
+
+def run(cmd, ok_codes=(0,)):
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE)
+    if proc.returncode not in ok_codes:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"command failed ({proc.returncode}): "
+                         + " ".join(map(str, cmd)))
+    return proc.stdout + f"exit {proc.returncode}\n".encode()
+
+
+def sweep_entry(bindir, workload, work):
+    """One hash pair per structure, identical at every thread count."""
+    out = {}
+    for structure in STRUCTURES:
+        seen = None
+        for threads in THREADS:
+            arena = work / f"{structure}_{threads}.arena"
+            manifest = work / f"{structure}_{threads}.json"
+            run([bindir / "mbavf", f"--workload={workload}",
+                 f"--structure={structure}", f"--threads={threads}",
+                 f"--arena-out={arena}", f"--manifest={manifest}"])
+            got = {"manifest": manifest_hash(manifest),
+                   "arena": sha256(arena.read_bytes())}
+            if seen is not None and got != seen:
+                raise SystemExit(f"sweep/{workload}/{structure}: "
+                                 f"--threads={threads} differs from "
+                                 f"--threads={THREADS[0]}")
+            seen = got
+        out[structure] = seen
+    return out
+
+
+def campaign_entry(bindir, workload, work):
+    out = {}
+    for kind, seed in (("register", 11), ("memory", 12)):
+        manifest = work / f"{kind}.json"
+        run([bindir / "mbavf", "--campaign", f"--workload={workload}",
+             f"--kind={kind}", "--trials=300", f"--seed={seed}",
+             "--threads=4", f"--manifest={manifest}"])
+        out[kind] = manifest_hash(manifest)
+    return out
+
+
+def stratified_entry(bindir, work):
+    manifest = work / "stratified.json"
+    run([bindir / "mbavf", "--campaign", "--stratify", "--workload=minife",
+         "--budget=300", "--seed=7", "--threads=4",
+         f"--manifest={manifest}"])
+    return {"manifest": manifest_hash(manifest)}
+
+
+def analyze_entry(bindir, work):
+    manifest = work / "analyze.json"
+    # lud has findings: exit 2, and the lint passes have work to do.
+    stdout = run([bindir / "mbavf_analyze", "--workload=lud",
+                  "--threads=4", f"--manifest={manifest}"], (0, 2))
+    return {"manifest": manifest_hash(manifest), "stdout": sha256(stdout)}
+
+
+def entries():
+    names = [f"sweep/{w}" for w in WORKLOADS]
+    names += [f"campaign/{w}" for w in CAMPAIGN_WORKLOADS]
+    return names + ["stratified", "analyze"]
+
+
+def run_entry(bindir, name):
+    with tempfile.TemporaryDirectory(prefix="mbavf_identity_") as tmp:
+        work = pathlib.Path(tmp)
+        kind, _, workload = name.partition("/")
+        if kind == "sweep" and workload in WORKLOADS:
+            return sweep_entry(bindir, workload, work)
+        if kind == "campaign" and workload in CAMPAIGN_WORKLOADS:
+            return campaign_entry(bindir, workload, work)
+        if name == "stratified":
+            return stratified_entry(bindir, work)
+        if name == "analyze":
+            return analyze_entry(bindir, work)
+    raise SystemExit(f"unknown entry '{name}' (one of: "
+                     + ", ".join(entries()) + ")")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--bin", required=True, type=pathlib.Path)
+    p.add_argument("--golden", type=pathlib.Path, default=GOLDEN)
+    p.add_argument("--only")
+    p.add_argument("--record", action="store_true")
+    args = p.parse_args()
+
+    if args.record:
+        if args.only:
+            p.error("--record rewrites every entry; drop --only")
+        golden = {name: run_entry(args.bin, name) for name in entries()}
+        args.golden.write_text(json.dumps(golden, indent=2,
+                                          sort_keys=True) + "\n")
+        print(f"recorded {len(golden)} entries to {args.golden}")
+        return 0
+
+    golden = json.loads(args.golden.read_text())
+    failed = 0
+    for name in [args.only] if args.only else entries():
+        got = run_entry(args.bin, name)
+        want = golden.get(name)
+        if got == want:
+            print(f"ok      {name}")
+            continue
+        failed += 1
+        print(f"DIFFERS {name}\n  want {json.dumps(want, sort_keys=True)}"
+              f"\n  got  {json.dumps(got, sort_keys=True)}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
