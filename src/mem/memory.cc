@@ -1,5 +1,7 @@
 #include "mem/memory.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "common/trap.hh"
 
@@ -10,8 +12,7 @@ MainMemory::MainMemory(std::uint64_t size_bytes)
     : data_(size_bytes, 0)
 {
     // origins_ is allocated lazily on the first real provenance
-    // write: fault-injection runs never track provenance, and the
-    // array is large.
+    // write: fault-injection runs never track provenance.
 }
 
 Addr
@@ -23,6 +24,8 @@ MainMemory::alloc(std::uint64_t bytes, std::uint64_t align)
               " of ", data_.size());
     }
     allocPtr_ = base + bytes;
+    if (!origins_.empty() && origins_.size() < (allocPtr_ + 3) / 4)
+        origins_.resize((allocPtr_ + 3) / 4, noDef);
     return base;
 }
 
@@ -82,26 +85,28 @@ MainMemory::write32(Addr addr, std::uint32_t value)
         data_[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
-ByteOrigin
+DefId
 MainMemory::origin(Addr addr) const
 {
     checkRange(addr, 1);
-    if (origins_.empty())
-        return ByteOrigin{};
-    return origins_[addr];
+    const Addr word = addr / 4;
+    return word < origins_.size() ? origins_[word] : noDef;
 }
 
 void
-MainMemory::setOrigin(Addr addr, unsigned size, DefId def)
+MainMemory::setOrigin(Addr addr, DefId def)
 {
-    checkRange(addr, size);
-    if (origins_.empty()) {
+    checkRange(addr, 4);
+    if (addr % 4 != 0)
+        panic("setOrigin at unaligned address ", addr);
+    const Addr word = addr / 4;
+    if (word >= origins_.size()) {
         if (def == noDef)
-            return; // default origin is already noDef
-        origins_.resize(data_.size());
+            return; // an unrecorded word's origin is already noDef
+        // Cover the allocated range; alloc() grows it from here on.
+        origins_.resize(std::max(word + 1, (allocPtr_ + 3) / 4), noDef);
     }
-    for (unsigned i = 0; i < size; ++i)
-        origins_[addr + i] = {def, static_cast<std::uint8_t>(i)};
+    origins_[word] = def;
 }
 
 } // namespace mbavf

@@ -2,11 +2,14 @@
  * @file
  * Flat functional main memory.
  *
- * Holds the simulated system's data contents plus per-byte dataflow
- * provenance: which dynamic definition produced each byte and which
- * byte of that definition's 32-bit value it is. Caches model timing
- * and residency only; data always lives here, which keeps functional
- * execution and fault injection simple.
+ * Holds the simulated system's data contents plus per-word dataflow
+ * provenance: which dynamic definition produced each aligned 32-bit
+ * word (byte i of the word is byte i of that definition's value).
+ * Every provenance write is a whole aligned word — wave stores trap
+ * on unaligned addresses and host writes are word writes — so one
+ * origin per word is exact. Caches model timing and residency only;
+ * data always lives here, which keeps functional execution and fault
+ * injection simple.
  */
 
 #ifndef MBAVF_MEM_MEMORY_HH
@@ -19,14 +22,6 @@
 
 namespace mbavf
 {
-
-/** Provenance of one memory byte. */
-struct ByteOrigin
-{
-    DefId def = noDef;
-    /** Which byte (0-3) of the producing 32-bit value this is. */
-    std::uint8_t byteIdx = 0;
-};
 
 /** Flat byte-addressable memory with a bump allocator. */
 class MainMemory
@@ -52,25 +47,32 @@ class MainMemory
     void write8(Addr addr, std::uint8_t value);
     void write32(Addr addr, std::uint32_t value);
 
-    /** Provenance of byte @p addr. */
-    ByteOrigin origin(Addr addr) const;
+    /** Definition that produced the aligned word holding @p addr. */
+    DefId origin(Addr addr) const;
 
-    /** Record that @p size bytes at @p addr hold @p def's value. */
-    void setOrigin(Addr addr, unsigned size, DefId def);
+    /**
+     * Record that the aligned word at @p addr holds @p def's value.
+     * @p addr must be word aligned (checked).
+     */
+    void setOrigin(Addr addr, DefId def);
 
     /** Host store of a 32-bit value (no provenance). */
     void
     hostWrite32(Addr addr, std::uint32_t value)
     {
         write32(addr, value);
-        setOrigin(addr, 4, noDef);
+        setOrigin(addr, noDef);
     }
 
   private:
     void checkRange(Addr addr, unsigned size) const;
 
     std::vector<std::uint8_t> data_;
-    std::vector<ByteOrigin> origins_;
+    /**
+     * One origin per word of the allocated range; empty until the
+     * first tracked write, then grown with the bump allocator.
+     */
+    std::vector<DefId> origins_;
     Addr allocPtr_ = 0;
 };
 
