@@ -23,8 +23,11 @@ using DomainId = std::uint64_t;
 /** Invalid/absent domain marker. */
 constexpr DomainId invalidDomain = ~DomainId(0);
 
-/** Identifier of a dynamic value definition in the dataflow trace. */
-using DefId = std::uint64_t;
+/**
+ * Identifier of a dynamic value definition in the dataflow trace. A
+ * trace past 2^32 - 1 definitions is fatal (DataflowLog checks it).
+ */
+using DefId = std::uint32_t;
 
 /** Marker for "no producing definition" (e.g., constants). */
 constexpr DefId noDef = ~DefId(0);
