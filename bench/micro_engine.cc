@@ -8,6 +8,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/interval_set.hh"
 #include "common/rng.hh"
 #include "core/layout.hh"
@@ -69,11 +71,11 @@ BM_LifetimeBuilder(benchmark::State &state)
         else
             log.read(t, rng.next() & 0xFF, rng.below(1000));
     }
-    LivenessResolver live = [](DefId d) {
-        return d % 3 ? ~std::uint64_t(0) : 0;
-    };
+    std::vector<std::uint32_t> relevance(1000);
+    for (DefId d = 0; d < relevance.size(); ++d)
+        relevance[d] = d % 3 ? ~std::uint32_t(0) : 0;
     for (auto _ : state) {
-        WordLifetime lt = buildWordLifetime(log, t + 10, 8, live);
+        WordLifetime lt = buildWordLifetime(log, t + 10, 8, relevance);
         benchmark::DoNotOptimize(lt.segments().size());
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));

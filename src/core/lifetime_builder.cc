@@ -11,7 +11,7 @@ namespace mbavf
 
 WordLifetime
 buildWordLifetime(const WordEventLog &log, Cycle end_time, unsigned width,
-                  const LivenessResolver &live)
+                  RelevanceTable relevance)
 {
     WordLifetime out;
     const auto &events = log.events;
@@ -69,7 +69,7 @@ buildWordLifetime(const WordEventLog &log, Cycle end_time, unsigned width,
             readAhead |= all;
             std::uint64_t consumed = e.mask;
             if (e.def != noDef) {
-                std::uint64_t rel = live(e.def);
+                const std::uint64_t rel = relevanceOf(relevance, e.def);
                 if (e.exact)
                     consumed &= rel >> e.relShift;
                 else if (!rel)

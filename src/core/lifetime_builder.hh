@@ -13,8 +13,8 @@
  *   by the protection scheme); bits in consumeMask are additionally
  *   consumed by dynamic definition @c def. Whether that consumption
  *   reaches program output — and which bits of it matter, per the
- *   logic-masking analysis — is resolved after the run via the
- *   LivenessResolver. Dirty write-backs are Reads whose consumption
+ *   logic-masking analysis — is resolved after the run through the
+ *   RelevanceTable. Dirty write-backs are Reads whose consumption
  *   reflects the post-eviction future use of the data.
  * - The lifetime window closes at end_time (eviction / end of run).
  *
@@ -30,7 +30,7 @@
 #define MBAVF_CORE_LIFETIME_BUILDER_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/types.hh"
@@ -106,11 +106,20 @@ struct WordEventLog
 };
 
 /**
- * Resolves a consuming definition to its relevance mask: 0 when the
- * definition is dynamically dead (never reaches program output),
- * otherwise the mask of its value bits that can still affect output.
+ * Relevance of every consuming definition, indexed by DefId
+ * (Liveness::relevances()): 0 when the definition is dynamically dead
+ * (never reaches program output), otherwise the mask of its value
+ * bits that can still affect output. Definitions past its end are
+ * dead.
  */
-using LivenessResolver = std::function<std::uint64_t(DefId)>;
+using RelevanceTable = std::span<const std::uint32_t>;
+
+/** @p def's entry of @p table (0 past its end). */
+inline std::uint32_t
+relevanceOf(RelevanceTable table, DefId def)
+{
+    return def < table.size() ? table[def] : 0;
+}
 
 /**
  * Analysis-phase backward pass over one word's events.
@@ -118,11 +127,10 @@ using LivenessResolver = std::function<std::uint64_t(DefId)>;
  * @param log       time-ordered events of the word
  * @param end_time  close of the lifetime window (eviction or horizon)
  * @param width     word width in bits (<= 64)
- * @param live      relevance resolver for read events
+ * @param relevance relevance of the definitions read events name
  */
 WordLifetime buildWordLifetime(const WordEventLog &log, Cycle end_time,
-                               unsigned width,
-                               const LivenessResolver &live);
+                               unsigned width, RelevanceTable relevance);
 
 } // namespace mbavf
 

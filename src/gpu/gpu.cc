@@ -65,9 +65,8 @@ Gpu::finish()
     if (tracking_ && refIndex_) {
         // Output buffers are consumed (fully live) at the horizon.
         for (const OutputRange &range : outputRanges_) {
-            refIndex_->addLoad(range.addr,
-                               static_cast<unsigned>(range.bytes),
-                               horizon_, noDef);
+            refIndex_->addLoad(range.addr, range.bytes, horizon_,
+                               noDef);
         }
     }
     // Kernel-completion flush: write back all dirty state.

@@ -1,18 +1,20 @@
 /**
  * @file
  * RegFileAvfProbe: event tracking + lifetime construction for the
- * VGPR. Each 32-bit register is one container and one word, so the
- * probe simply accumulates a WordEventLog per register and runs the
- * backward builder at finalization.
+ * VGPR. Each 32-bit register is one container and one word. During
+ * simulation the probe appends the listener's calls — one per
+ * instruction and register operand — to a single log. Finalization
+ * expands each register's calls into per-lane WordEventLogs, in the
+ * order the lanes saw them (reads in operand order, then the write),
+ * and runs the backward builder on them.
  */
 
 #ifndef MBAVF_GPU_REGFILE_PROBE_HH
 #define MBAVF_GPU_REGFILE_PROBE_HH
 
 #include <unordered_map>
+#include <vector>
 
-#include "common/bits.hh"
-#include "common/check.hh"
 #include "core/lifetime.hh"
 #include "core/lifetime_builder.hh"
 #include "gpu/regfile.hh"
@@ -28,50 +30,68 @@ class RegFileAvfProbe : public RegFileListener
         : geom_(geom)
     {}
 
-    void
-    onRegWrite(std::uint64_t container, Cycle t, InstrTag tag) override
-    {
-        logs_[container].write(t, 0xFFFFFFFFull, tag);
-    }
-
-    void
-    onRegRead(std::uint64_t container, Cycle t,
-              std::uint32_t consume_mask, DefId def, bool exact) override
-    {
-        MBAVF_CHECK((consume_mask & ~lowMask(geom_.regBits)) == 0,
-                    "consume mask wider than the ", geom_.regBits,
-                    "-bit register");
-        if (exact)
-            logs_[container].readExact(t, consume_mask, def, 0);
-        else
-            logs_[container].read(t, consume_mask, def);
-    }
+    void onRegWrite(const RegAccess &write, InstrTag tag) override;
+    void onRegRead(const RegRead &read) override;
 
     /**
      * Analysis phase: build per-bit lifetimes over [0, horizon), one
-     * register per task on the shared pool. The result does not
-     * depend on the pool width.
+     * register (all its lanes) per task on the shared pool. The
+     * result does not depend on the pool width.
      */
     LifetimeStore finalize(Cycle horizon,
-                           const LivenessResolver &live) const;
+                           RelevanceTable relevance) const;
 
     const RegFileGeometry &geometry() const { return geom_; }
 
     /**
-     * Move out the raw per-register event logs (container id ->
+     * Expand the raw per-register event logs (container id ->
      * time-ordered events), leaving the probe empty. The
      * program-analysis passes read these directly to find
      * overwritten-before-read and uninitialized-read patterns.
      */
-    std::unordered_map<std::uint64_t, WordEventLog>
-    takeLogs()
-    {
-        return std::move(logs_);
-    }
+    std::unordered_map<std::uint64_t, WordEventLog> takeLogs();
 
   private:
+    /** One listener call: an instruction's access to one register. */
+    struct Call
+    {
+        Cycle time;
+        std::uint64_t lanes;
+        /** Reads: the consuming block (base noDef = none). */
+        std::uint64_t consumerExec;
+        DefId consumerBase;
+        /** Reads: consume mask, or laneConsume_ offset (perLane). */
+        std::uint32_t consume;
+        InstrTag tag; ///< writes
+        std::uint32_t reg; ///< slot * numRegs + reg
+        std::uint8_t lanesPerCycle;
+        WordEvent::Kind kind;
+        bool exact;
+        bool perLane;
+    };
+
+    /** Calls grouped by register, each group in call order. */
+    struct ByRegister
+    {
+        std::vector<std::uint32_t> start; ///< numRegisters() + 1
+        std::vector<std::uint32_t> calls;
+        std::vector<std::uint64_t> lanes; ///< union of a group's lanes
+    };
+
+    std::uint32_t numRegisters() const
+    {
+        return geom_.numSlots * geom_.numRegs;
+    }
+    ByRegister byRegister() const;
+
+    /** @p lane's events of register @p reg's calls, into @p log. */
+    void expand(const ByRegister &regs, std::uint32_t reg, unsigned lane,
+                WordEventLog &log) const;
+
     RegFileGeometry geom_;
-    std::unordered_map<std::uint64_t, WordEventLog> logs_;
+    std::vector<Call> calls_;
+    /** 64 masks per per-lane read, indexed by lane. */
+    std::vector<std::uint32_t> laneConsume_;
 };
 
 } // namespace mbavf

@@ -1,6 +1,8 @@
 #include "mem/cache_probe.hh"
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "common/bits.hh"
@@ -24,10 +26,7 @@ CacheAvfProbe::slot(unsigned set, unsigned way)
     MBAVF_CHECK(set < geom_.sets && way < geom_.ways, "slot (", set,
                 ", ", way, ") outside the probe geometry");
     SlotLog &s = slots_[std::size_t(set) * geom_.ways + way];
-    if (!s.touched) {
-        s.bytes.resize(geom_.lineBytes);
-        s.touched = true;
-    }
+    s.touched = true;
     return s;
 }
 
@@ -42,22 +41,16 @@ CacheAvfProbe::onRead(unsigned set, unsigned way, Addr addr,
                       unsigned size, Cycle t, DefId def)
 {
     SlotLog &s = slot(set, way);
-    s.lineReads.push_back(t);
     unsigned offset = static_cast<unsigned>(addr % geom_.lineBytes);
     MBAVF_CHECK(size > 0 && offset + size <= geom_.lineBytes,
                 "read of ", size, " byte(s) at line offset ", offset,
                 " spills past the line");
-    for (unsigned i = 0; i < size; ++i) {
-        ByteAccess access{t, false, def,
-                          static_cast<std::uint8_t>(8 * i), false, 0};
-        if (def == noDef && resolveReadsViaRefIndex_) {
-            // A fill from the level above: the data's consumption is
-            // the program's next reference to the byte.
-            access.resolveFuture = true;
-            access.addr = addr + i;
-        }
-        s.bytes[offset + i].push_back(access);
-    }
+    // With no consuming definition in L2 mode, this is a fill from
+    // the level above: the data's consumption is the program's next
+    // reference to each byte.
+    s.accesses.push_back({t, addr, def, static_cast<std::uint8_t>(size),
+                          false,
+                          def == noDef && resolveReadsViaRefIndex_});
 }
 
 void
@@ -72,9 +65,8 @@ CacheAvfProbe::onWrite(unsigned set, unsigned way, Addr addr,
     MBAVF_CHECK(size > 0 && offset + size <= geom_.lineBytes,
                 "write of ", size, " byte(s) at line offset ", offset,
                 " spills past the line");
-    for (unsigned i = 0; i < size; ++i)
-        s.bytes[offset + i].push_back({t, true, noDef, 0, false, 0,
-                                       tag});
+    s.accesses.push_back({t, addr, tag, static_cast<std::uint8_t>(size),
+                          true, false});
 }
 
 void
@@ -88,7 +80,7 @@ WordEvent
 CacheAvfProbe::futureRead(Addr addr, Cycle t) const
 {
     WordEvent ev{t, WordEvent::Kind::Read, 0, noDef, false, 0};
-    const ByteRef *ref = refIndex_.firstAfter(addr, t);
+    const std::optional<ByteRef> ref = refIndex_.firstAfter(addr, t);
     if (ref && ref->isLoad) {
         ev.mask = 0xFF;
         ev.def = ref->def;
@@ -100,7 +92,7 @@ CacheAvfProbe::futureRead(Addr addr, Cycle t) const
 
 void
 CacheAvfProbe::finalizeSlot(const SlotLog &s, Cycle horizon,
-                            const LivenessResolver &live,
+                            RelevanceTable relevance,
                             ContainerLifetime &life) const
 {
     // The slot's line-level stream, sorted once by (time, prio). The
@@ -113,11 +105,14 @@ CacheAvfProbe::finalizeSlot(const SlotLog &s, Cycle horizon,
         const Evict *evict; ///< EvictRead only
     };
     std::vector<LineEvent> line;
-    line.reserve(s.fills.size() + s.lineReads.size() + s.evicts.size());
+    line.reserve(s.fills.size() + s.accesses.size() + s.evicts.size());
     for (Cycle t : s.fills)
         line.push_back({t, Prio::Fill, nullptr});
-    for (Cycle t : s.lineReads)
-        line.push_back({t, Prio::Access, nullptr});
+    for (const Access &a : s.accesses) {
+        // Every read reads the whole line (its protection domain).
+        if (!a.isWrite)
+            line.push_back({a.time, Prio::Access, nullptr});
+    }
     for (const Evict &e : s.evicts) {
         // A clean evict drops the data without reading it out.
         if (e.dirtyBytes)
@@ -129,30 +124,55 @@ CacheAvfProbe::finalizeSlot(const SlotLog &s, Cycle horizon,
                                                  : a.prio < b.prio;
                      });
 
-    std::vector<const ByteAccess *> accesses;
-    WordEventLog log;
-    for (unsigned b = 0; b < geom_.lineBytes; ++b) {
-        // The byte's own accesses in time order: the lanes of one
-        // access can record out of order.
-        accesses.clear();
-        for (const ByteAccess &a : s.bytes[b])
-            accesses.push_back(&a);
-        std::stable_sort(accesses.begin(), accesses.end(),
-                         [](const ByteAccess *x, const ByteAccess *y) {
-                             return x->time < y->time;
-                         });
+    // The accesses in time order (the lanes of one instruction can
+    // record out of order), then bucketed per line byte; each byte's
+    // bucket keeps that order.
+    std::vector<const Access *> sorted;
+    sorted.reserve(s.accesses.size());
+    for (const Access &a : s.accesses)
+        sorted.push_back(&a);
+    std::stable_sort(sorted.begin(), sorted.end(),
+                     [](const Access *x, const Access *y) {
+                         return x->time < y->time;
+                     });
+    const unsigned line_bytes = geom_.lineBytes;
+    std::vector<std::uint32_t> start(line_bytes + 1, 0);
+    for (const Access *a : sorted) {
+        const unsigned offset = static_cast<unsigned>(a->addr % line_bytes);
+        for (unsigned i = 0; i < a->size; ++i)
+            ++start[offset + i + 1];
+    }
+    for (unsigned b = 0; b < line_bytes; ++b)
+        start[b + 1] += start[b];
+    std::vector<const Access *> by_byte(start.back());
+    {
+        std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+        for (const Access *a : sorted) {
+            const unsigned offset =
+                static_cast<unsigned>(a->addr % line_bytes);
+            for (unsigned i = 0; i < a->size; ++i)
+                by_byte[next[offset + i]++] = a;
+        }
+    }
 
+    WordEventLog log;
+    for (unsigned b = 0; b < line_bytes; ++b) {
+        const std::span<const Access *const> accesses(
+            by_byte.data() + start[b], start[b + 1] - start[b]);
         log.events.clear();
         log.events.reserve(line.size() + accesses.size());
-        auto emit_access = [&](const ByteAccess &a) {
+        auto emit_access = [&](const Access &a) {
+            // Byte b of the line is byte i of the access.
+            const unsigned i = b - static_cast<unsigned>(a.addr % line_bytes);
             if (a.isWrite) {
                 log.events.push_back({a.time, WordEvent::Kind::Write,
-                                      0xFF, noDef, false, 0, a.tag});
+                                      0xFF, noDef, false, 0, a.defOrTag});
             } else if (a.resolveFuture) {
-                log.events.push_back(futureRead(a.addr, a.time));
+                log.events.push_back(futureRead(a.addr + i, a.time));
             } else {
-                log.events.push_back({a.time, WordEvent::Kind::Read,
-                                      0xFF, a.def, true, a.relShift});
+                log.events.push_back({a.time, WordEvent::Kind::Read, 0xFF,
+                                      a.defOrTag, true,
+                                      static_cast<std::uint8_t>(8 * i)});
             }
         };
         // Byte accesses have the highest prio (Access), so one goes
@@ -179,12 +199,12 @@ CacheAvfProbe::finalizeSlot(const SlotLog &s, Cycle horizon,
         }
         while (next < accesses.size())
             emit_access(*accesses[next++]);
-        life.words[b] = buildWordLifetime(log, horizon, 8, live);
+        life.words[b] = buildWordLifetime(log, horizon, 8, relevance);
     }
 }
 
 LifetimeStore
-CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
+CacheAvfProbe::finalize(Cycle horizon, RelevanceTable relevance) const
 {
     // Create the containers serially, in slot order, so the store is
     // laid out the same at any pool width; each slot task then
@@ -200,7 +220,7 @@ CacheAvfProbe::finalize(Cycle horizon, const LivenessResolver &live) const
                 [&](std::uint64_t begin, std::uint64_t end) {
                     for (std::uint64_t i = begin; i < end; ++i) {
                         const auto &[slot_log, life] = work[i];
-                        finalizeSlot(*slot_log, horizon, live, *life);
+                        finalizeSlot(*slot_log, horizon, relevance, *life);
                     }
                 });
     return store;

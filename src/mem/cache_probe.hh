@@ -10,12 +10,14 @@
  *
  * Containers are physical line slots (set * ways + way); the slot
  * hosts different memory lines over time and its event stream simply
- * continues across generations. Because a parity/ECC word here is the
- * whole line, any access to a line is a read of the full protection
- * domain: per-slot line-read times are kept once. Finalization sorts
- * each slot's line-level stream (fills, line reads, dirty
- * write-backs) once and merges it into every byte's own accesses;
- * slots finalize independently on the shared pool.
+ * continues across generations. During simulation a slot keeps one
+ * entry per access (a lane's 4-byte load or store is one entry).
+ * Because a parity/ECC word here is the whole line, any read is also
+ * a read of the full protection domain. Finalization sorts each
+ * slot's line-level stream (fills, line reads, dirty write-backs) and
+ * its accesses once, expands the accesses per byte, and merges the
+ * line stream into every byte's own accesses; slots finalize
+ * independently on the shared pool.
  */
 
 #ifndef MBAVF_MEM_CACHE_PROBE_HH
@@ -74,11 +76,11 @@ class CacheAvfProbe : public CacheListener
      * slot per task on the shared pool. The result does not depend
      * on the pool width.
      *
-     * @param horizon  end of the measurement window
-     * @param live     relevance resolver from the Liveness analysis
+     * @param horizon    end of the measurement window
+     * @param relevance  relevance table from the Liveness analysis
      */
     LifetimeStore finalize(Cycle horizon,
-                           const LivenessResolver &live) const;
+                           RelevanceTable relevance) const;
 
     const CacheGeometry &geometry() const { return geom_; }
 
@@ -93,24 +95,24 @@ class CacheAvfProbe : public CacheListener
         std::uint64_t dirtyBytes;
     };
 
-    struct ByteAccess
+    /** One read or write of [addr, addr + size) in the slot. */
+    struct Access
     {
         Cycle time;
+        Addr addr;
+        /** Reads: consuming definition. Writes: producing tag. */
+        std::uint32_t defOrTag;
+        std::uint8_t size;
         bool isWrite;
-        DefId def;         ///< loads: consuming definition
-        std::uint8_t relShift; ///< loads: bit offset in loaded value
         /** Resolve consumption from the reference index (L2 mode). */
-        bool resolveFuture = false;
-        Addr addr = 0;     ///< absolute byte address (L2 mode)
-        InstrTag tag = noInstrTag; ///< writes: producing instruction
+        bool resolveFuture;
     };
 
     struct SlotLog
     {
         std::vector<Cycle> fills;
-        std::vector<Cycle> lineReads;
         std::vector<Evict> evicts;
-        std::vector<std::vector<ByteAccess>> bytes; ///< per line byte
+        std::vector<Access> accesses;
         bool touched = false;
     };
 
@@ -118,7 +120,7 @@ class CacheAvfProbe : public CacheListener
 
     /** Build the words of one slot's container into @p life. */
     void finalizeSlot(const SlotLog &s, Cycle horizon,
-                      const LivenessResolver &live,
+                      RelevanceTable relevance,
                       ContainerLifetime &life) const;
 
     /**

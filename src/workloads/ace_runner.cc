@@ -92,7 +92,9 @@ runAceAnalysis(const std::string &workload_name,
     }
 
     // The backward pass: liveness over the dataflow graph, then each
-    // probe resolves its recorded lifetimes against it.
+    // probe resolves its recorded lifetimes against it. The probes
+    // read only the relevance table, so the trace goes as soon as
+    // liveness exists unless the capture takes it.
     std::optional<Liveness> liveness;
     {
         obs::ObsPhase phase("ace.liveness");
@@ -100,6 +102,9 @@ runAceAnalysis(const std::string &workload_name,
     }
     out.numDefs = liveness->numDefs();
     out.numDeadDefs = liveness->numDead();
+    if (options.capture)
+        options.capture->dataflow = std::move(gpu.dataflow());
+    gpu.dataflow().clear();
 
     static const obs::Counter defs_counter =
         obs::MetricsRegistry::global().counter("ace.defs");
@@ -111,26 +116,24 @@ runAceAnalysis(const std::string &workload_name,
     {
         obs::ObsPhase phase("ace.backward");
         const Cycle horizon = out.horizon;
-        LivenessResolver resolver = [&liveness](DefId def) {
-            return static_cast<std::uint64_t>(
-                liveness->relevance(def));
-        };
+        const RelevanceTable relevance = liveness->relevances();
+        ref_index.finalize();
         // The stores are independent, so each is one pool task; every
         // finalize fans out over its own containers in turn.
         std::vector<std::function<void()>> builds;
         if (want_l1) {
             builds.emplace_back([&] {
-                out.l1 = l1_probe->finalize(horizon, resolver);
+                out.l1 = l1_probe->finalize(horizon, relevance);
             });
         }
         if (want_vgpr) {
             builds.emplace_back([&] {
-                out.vgpr = vgpr_probes[0]->finalize(horizon, resolver);
+                out.vgpr = vgpr_probes[0]->finalize(horizon, relevance);
             });
         }
         if (want_l2) {
             builds.emplace_back([&] {
-                out.l2 = l2_probe->finalize(horizon, resolver);
+                out.l2 = l2_probe->finalize(horizon, relevance);
             });
         }
         if (want_per_cu) {
@@ -139,16 +142,14 @@ runAceAnalysis(const std::string &workload_name,
             for (unsigned cu = 0; cu < config.numCus; ++cu) {
                 builds.emplace_back([&, cu] {
                     out.vgprPerCu[cu] =
-                        vgpr_probes[cu]->finalize(horizon, resolver);
+                        vgpr_probes[cu]->finalize(horizon, relevance);
                 });
             }
         }
         runTasks(builds.size(), [&builds](std::size_t i) { builds[i](); });
     }
-    if (options.capture) {
-        options.capture->dataflow = std::move(gpu.dataflow());
+    if (options.capture)
         options.capture->vgprEvents = vgpr_probes[0]->takeLogs();
-    }
     return out;
 }
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/lifetime_builder.hh"
 
 namespace mbavf
@@ -14,16 +16,23 @@ namespace mbavf
 namespace
 {
 
-LivenessResolver
-alwaysLive()
+/** Relevance @p rel for every definition the tests name (ids < 16). */
+std::vector<std::uint32_t>
+uniform(std::uint32_t rel)
 {
-    return [](DefId) { return ~std::uint64_t(0); };
+    return std::vector<std::uint32_t>(16, rel);
 }
 
-LivenessResolver
+std::vector<std::uint32_t>
+alwaysLive()
+{
+    return uniform(~std::uint32_t(0));
+}
+
+std::vector<std::uint32_t>
 alwaysDead()
 {
-    return [](DefId) { return std::uint64_t(0); };
+    return {};
 }
 
 TEST(LifetimeBuilder, EmptyLogIsEmpty)
@@ -106,9 +115,8 @@ TEST(LifetimeBuilder, ExactReadRefinesByConsumerRelevance)
     log.write(0, 0xFF);
     log.readExact(16, 0xFF, /*def=*/3, /*rel_shift=*/0);
     // Consumer only cares about bits 0-3.
-    LivenessResolver live = [](DefId d) {
-        return d == 3 ? std::uint64_t(0x0F) : 0;
-    };
+    std::vector<std::uint32_t> live = uniform(0);
+    live[3] = 0x0F;
     WordLifetime lt = buildWordLifetime(log, 20, 8, live);
     EXPECT_EQ(lt.classAt(2, 8), AceClass::AceLive);
     EXPECT_EQ(lt.classAt(6, 8), AceClass::ReadDead);
@@ -121,16 +129,12 @@ TEST(LifetimeBuilder, ExactReadAppliesRelShift)
     WordEventLog log;
     log.write(0, 0xFF);
     log.readExact(10, 0xFF, /*def=*/9, /*rel_shift=*/16);
-    LivenessResolver live = [](DefId) {
-        return std::uint64_t(0x00FF0000); // value bits 16-23 matter
-    };
+    const auto live = uniform(0x00FF0000); // value bits 16-23 matter
     WordLifetime lt = buildWordLifetime(log, 12, 8, live);
     EXPECT_EQ(lt.classAt(0, 5), AceClass::AceLive);
     EXPECT_EQ(lt.classAt(7, 5), AceClass::AceLive);
 
-    LivenessResolver other = [](DefId) {
-        return std::uint64_t(0x000000FF); // low byte matters instead
-    };
+    const auto other = uniform(0x000000FF); // low byte matters instead
     WordLifetime lt2 = buildWordLifetime(log, 12, 8, other);
     EXPECT_EQ(lt2.classAt(0, 5), AceClass::ReadDead);
 }
@@ -140,9 +144,7 @@ TEST(LifetimeBuilder, NonExactReadIsAllOrNothing)
     WordEventLog log;
     log.write(0, 0xFF);
     log.read(10, 0xF0, /*def=*/5);
-    LivenessResolver live = [](DefId) {
-        return std::uint64_t(1); // any nonzero relevance = live
-    };
+    const auto live = uniform(1); // any nonzero relevance = live
     WordLifetime lt = buildWordLifetime(log, 12, 8, live);
     EXPECT_EQ(lt.classAt(7, 5), AceClass::AceLive);
     EXPECT_EQ(lt.classAt(0, 5), AceClass::ReadDead);

@@ -41,10 +41,7 @@ struct Harness
         gpu.launch(kernel, 1);
         gpu.finish();
         Liveness live(gpu.dataflow());
-        store = probe.finalize(
-            gpu.horizon(), [l = std::move(live)](DefId d) {
-                return static_cast<std::uint64_t>(l.relevance(d));
-            });
+        store = probe.finalize(gpu.horizon(), live.relevances());
     }
 
     /** Emit value in @p reg to the output buffer. */

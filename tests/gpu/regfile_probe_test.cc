@@ -37,10 +37,7 @@ struct Harness
     {
         gpu.finish();
         Liveness live(gpu.dataflow());
-        return probe.finalize(
-            gpu.horizon(), [&live](DefId d) {
-                return static_cast<std::uint64_t>(live.relevance(d));
-            });
+        return probe.finalize(gpu.horizon(), live.relevances());
     }
 
     Gpu gpu;
@@ -133,28 +130,21 @@ TEST(RegFileProbe, DeadChainRegistersAreReadDead)
 TEST(RegFileProbe, QuarterWaveTimestamps)
 {
     // Lane 0 and lane 63 of the same op must be one quarter-wave
-    // cadence apart (3 cycles at 16 lanes/cycle over 64 lanes).
+    // cadence apart (3 cycles at 16 lanes/cycle over 64 lanes). The
+    // instruction reports one write; the probe expands it per lane.
     Gpu gpu(smallGpu());
     RegFileAvfProbe probe(gpu.config().regs);
-
-    struct Recorder : RegFileListener
-    {
-        std::vector<std::pair<std::uint64_t, Cycle>> writes;
-        void
-        onRegWrite(std::uint64_t c, Cycle t, InstrTag) override
-        {
-            writes.emplace_back(c, t);
-        }
-        void
-        onRegRead(std::uint64_t, Cycle, std::uint32_t, DefId,
-                  bool) override
-        {}
-    } rec;
-    gpu.regFile(0).setListener(&rec);
+    gpu.regFile(0).setListener(&probe);
     gpu.launch([](Wave &w) { w.movi(0, 1); }, 1);
 
-    ASSERT_EQ(rec.writes.size(), 64u);
-    EXPECT_EQ(rec.writes[63].second - rec.writes[0].second, 3u);
+    const auto logs = probe.takeLogs();
+    ASSERT_EQ(logs.size(), 64u);
+    const RegFileGeometry &geom = gpu.config().regs;
+    const auto &lane0 = logs.at(geom.regId(0, 0, 0)).events;
+    const auto &lane63 = logs.at(geom.regId(0, 0, 63)).events;
+    ASSERT_EQ(lane0.size(), 1u);
+    ASSERT_EQ(lane63.size(), 1u);
+    EXPECT_EQ(lane63[0].time - lane0[0].time, 3u);
 }
 
 } // namespace

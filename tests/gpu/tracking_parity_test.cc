@@ -27,13 +27,9 @@ namespace
 class CountingListener : public RegFileListener
 {
   public:
-    void onRegWrite(std::uint64_t, Cycle, InstrTag) override { ++writes; }
+    void onRegWrite(const RegAccess &, InstrTag) override { ++writes; }
 
-    void
-    onRegRead(std::uint64_t, Cycle, std::uint32_t, DefId, bool) override
-    {
-        ++reads;
-    }
+    void onRegRead(const RegRead &) override { ++reads; }
 
     std::uint64_t writes = 0;
     std::uint64_t reads = 0;

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include <algorithm>
 #include <vector>
 
@@ -85,7 +87,7 @@ class ReferenceCacheProbe : public CacheListener
     }
 
     LifetimeStore
-    finalize(Cycle horizon, const LivenessResolver &live) const
+    finalize(Cycle horizon, RelevanceTable relevance) const
     {
         LifetimeStore store(8, geom_.lineBytes);
         struct Tagged
@@ -137,7 +139,7 @@ class ReferenceCacheProbe : public CacheListener
                 WordEventLog log;
                 for (const Tagged &t : merged)
                     log.events.push_back(t.event);
-                life.words[b] = buildWordLifetime(log, horizon, 8, live);
+                life.words[b] = buildWordLifetime(log, horizon, 8, relevance);
             }
         }
         return store;
@@ -186,7 +188,7 @@ class ReferenceCacheProbe : public CacheListener
     futureRead(Addr addr, Cycle t) const
     {
         WordEvent ev{t, WordEvent::Kind::Read, 0, noDef, false, 0};
-        const ByteRef *ref = refIndex_.firstAfter(addr, t);
+        const std::optional<ByteRef> ref = refIndex_.firstAfter(addr, t);
         if (ref && ref->isLoad) {
             ev.mask = 0xFF;
             ev.def = ref->def;
@@ -289,15 +291,17 @@ TEST_P(CacheProbeMerge, MatchesPerByteStableSortReference)
     const bool l2_mode = GetParam();
     // Some definitions are dead, the rest keep a seed-dependent
     // subset of their bits relevant.
-    const LivenessResolver live = [](DefId def) -> std::uint64_t {
+    std::vector<std::uint32_t> live(64);
+    for (DefId def = 0; def < live.size(); ++def) {
         const std::uint64_t h = splitMix64(def);
-        return h % 4 == 0 ? 0 : h;
-    };
+        live[def] = h % 4 == 0 ? 0 : static_cast<std::uint32_t>(h);
+    }
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
         SCOPED_TRACE(seed);
         Rng rng(seed);
         MemRefIndex refs;
         fillRefIndex(rng, refs);
+        refs.finalize();
         CacheAvfProbe probe(kGeom, refs);
         probe.setResolveReadsViaRefIndex(l2_mode);
         ReferenceCacheProbe reference(kGeom, refs, l2_mode);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/cache_probe.hh"
 #include "mem/ref_index.hh"
@@ -26,10 +28,18 @@ class ProbeTest : public ::testing::Test
         cache_.setListener(&probe_);
     }
 
-    LivenessResolver
+    /** Every definition the tests name (ids < 64) fully live. */
+    static std::vector<std::uint32_t>
     liveAll()
     {
-        return [](DefId) { return ~std::uint64_t(0); };
+        return std::vector<std::uint32_t>(64, ~std::uint32_t(0));
+    }
+
+    LifetimeStore
+    finalize(Cycle horizon, RelevanceTable relevance)
+    {
+        refs_.finalize();
+        return probe_.finalize(horizon, relevance);
     }
 
     CacheGeometry geom_;
@@ -45,7 +55,7 @@ TEST_F(ProbeTest, FillReadMakesAceWindow)
     cache_.access({0x00, 4, MemCmd::Read, noDef}, 0);
     // Re-read at t=50.
     cache_.access({0x00, 4, MemCmd::Read, noDef}, 50);
-    LifetimeStore store = probe_.finalize(100, liveAll());
+    LifetimeStore store = finalize(100, liveAll());
 
     // Line slot: set 0, way 0 -> container 0.
     const WordLifetime *w = store.find(0, 0);
@@ -64,8 +74,8 @@ TEST_F(ProbeTest, DeadLoadGivesReadDead)
 {
     cache_.access({0x00, 4, MemCmd::Read, /*def=*/3}, 0);
     cache_.access({0x00, 4, MemCmd::Read, /*def=*/3}, 50);
-    LivenessResolver dead = [](DefId) { return std::uint64_t(0); };
-    LifetimeStore store = probe_.finalize(100, dead);
+    const std::vector<std::uint32_t> dead; // every definition dead
+    LifetimeStore store = finalize(100, dead);
     const WordLifetime *w = store.find(0, 0);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->classAt(0, 20), AceClass::ReadDead);
@@ -79,7 +89,7 @@ TEST_F(ProbeTest, DirtyEvictionWithLiveFutureUseIsAce)
     // Conflict-evict it (set 0: 0x00, 0x40, 0x80).
     cache_.access({0x40, 4, MemCmd::Read, noDef}, 100);
     cache_.access({0x80, 4, MemCmd::Read, noDef}, 200);
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     const WordLifetime *w = store.find(0, 0);
     ASSERT_NE(w, nullptr);
     // Dirty data is ACE from the write until the write-back.
@@ -94,7 +104,7 @@ TEST_F(ProbeTest, DirtyEvictionWithoutFutureUseIsReadDead)
     // array, so the dirty bytes are false-DUE candidates.
     cache_.access({0x40, 4, MemCmd::Read, noDef}, 100);
     cache_.access({0x80, 4, MemCmd::Read, noDef}, 200);
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     const WordLifetime *w = store.find(0, 0);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->classAt(0, 50), AceClass::ReadDead);
@@ -106,7 +116,7 @@ TEST_F(ProbeTest, DirtyEvictionOverwrittenInMemoryIsReadDead)
     refs_.addStore(0x00, 4, 400); // overwritten before any load
     cache_.access({0x40, 4, MemCmd::Read, noDef}, 100);
     cache_.access({0x80, 4, MemCmd::Read, noDef}, 200);
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     const WordLifetime *w = store.find(0, 0);
     ASSERT_NE(w, nullptr);
     EXPECT_EQ(w->classAt(0, 50), AceClass::ReadDead);
@@ -117,7 +127,7 @@ TEST_F(ProbeTest, CleanEvictionIsUnace)
     cache_.access({0x00, 4, MemCmd::Read, noDef}, 0);
     cache_.access({0x40, 4, MemCmd::Read, noDef}, 100);
     cache_.access({0x80, 4, MemCmd::Read, noDef}, 200);
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     const WordLifetime *w = store.find(0, 0);
     ASSERT_NE(w, nullptr);
     // ACE only between fill and its consuming read (same cycle
@@ -136,7 +146,7 @@ TEST_F(ProbeTest, NewGenerationAfterEvictionIsIndependent)
     // it twice so its new generation has ACE time.
     cache_.access({0x00, 4, MemCmd::Read, noDef}, 300);
     cache_.access({0x00, 4, MemCmd::Read, noDef}, 400);
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     // Some slot in set 0 carries ACE time in [310, 400).
     bool found = false;
     for (unsigned way = 0; way < 2; ++way) {
@@ -150,7 +160,7 @@ TEST_F(ProbeTest, NewGenerationAfterEvictionIsIndependent)
 TEST_F(ProbeTest, UntouchedSlotsAbsent)
 {
     cache_.access({0x00, 4, MemCmd::Read, noDef}, 0);
-    LifetimeStore store = probe_.finalize(100, liveAll());
+    LifetimeStore store = finalize(100, liveAll());
     EXPECT_EQ(store.find(3, 0), nullptr); // set 1 way 1 never used
 }
 
@@ -159,7 +169,7 @@ TEST_F(ProbeTest, PartialWriteKeepsOtherBytesAce)
     cache_.access({0x00, 8, MemCmd::Read, noDef}, 0);
     cache_.access({0x00, 4, MemCmd::Write, noDef}, 50);
     cache_.access({0x00, 8, MemCmd::Read, noDef}, 100);
-    LifetimeStore store = probe_.finalize(200, liveAll());
+    LifetimeStore store = finalize(200, liveAll());
     // Byte 4: ACE from fill through the read at 100.
     const WordLifetime *w4 = store.find(0, 4);
     ASSERT_NE(w4, nullptr);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/cache_probe.hh"
 #include "mem/ref_index.hh"
@@ -29,10 +31,18 @@ class L2ProbeTest : public ::testing::Test
         l2_.setListener(&probe_);
     }
 
-    LivenessResolver
+    /** Every definition the tests name (ids < 64) fully live. */
+    static std::vector<std::uint32_t>
     liveAll()
     {
-        return [](DefId) { return ~std::uint64_t(0); };
+        return std::vector<std::uint32_t>(64, ~std::uint32_t(0));
+    }
+
+    LifetimeStore
+    finalize(Cycle horizon, RelevanceTable relevance)
+    {
+        refs_.finalize();
+        return probe_.finalize(horizon, relevance);
     }
 
     CacheGeometry geom_;
@@ -56,7 +66,7 @@ TEST_F(L2ProbeTest, FillConsumedByLiveProgramLoadIsAce)
     refs_.addLoad(0x00, 4, 300, noDef);
     l1_.access({0x00, 4, MemCmd::Read, noDef}, 300);
 
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     // The L2 copy of 0x00 is ACE between its install at ~50 and the
     // second fill it serves at 300 (L2 set 0, some way).
     bool ace_found = false;
@@ -72,7 +82,7 @@ TEST_F(L2ProbeTest, FillNeverReusedIsNotAceAfterLastService)
 {
     refs_.addLoad(0x00, 4, 0, noDef);
     l1_.access({0x00, 4, MemCmd::Read, noDef}, 0);
-    LifetimeStore store = probe_.finalize(1000, liveAll());
+    LifetimeStore store = finalize(1000, liveAll());
     // After serving the only fill, the L2 copy's future is empty.
     for (unsigned way = 0; way < 4; ++way) {
         const WordLifetime *w = store.find(way, 0);
@@ -92,8 +102,8 @@ TEST_F(L2ProbeTest, FillForDeadLoadIsNotAce)
     refs_.addLoad(0x00, 4, 300, /*def=*/7);
     l1_.access({0x00, 4, MemCmd::Read, noDef}, 300);
 
-    LivenessResolver dead = [](DefId) { return std::uint64_t(0); };
-    LifetimeStore store = probe_.finalize(1000, dead);
+    const std::vector<std::uint32_t> dead; // every definition dead
+    LifetimeStore store = finalize(1000, dead);
     for (unsigned way = 0; way < 4; ++way) {
         const WordLifetime *w = store.find(way, 0);
         if (!w)
