@@ -1,8 +1,11 @@
 #include "pipeline/job.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/args.hh"
+#include "core/mbavf_kernel.hh"
 #include "inject/campaign.hh"
 #include "inject/stratified.hh"
 #include "obs/json.hh"
@@ -140,6 +143,19 @@ validateJob(const JobConfig &job, std::string &error)
         error = "modes must be at least 1";
         return false;
     }
+    if (job.modes > detail::maxModeBits) {
+        error = "modes must be at most " +
+                std::to_string(detail::maxModeBits);
+        return false;
+    }
+    if (job.windows > maxWindows) {
+        error = "windows must be at most " + std::to_string(maxWindows);
+        return false;
+    }
+    if (!std::isfinite(job.totalFit) || job.totalFit < 0.0) {
+        error = "total_fit must be a finite rate >= 0";
+        return false;
+    }
     return tryMakeScheme(job.scheme, error) &&
         tryMakeArray(job, error);
 }
@@ -147,9 +163,15 @@ validateJob(const JobConfig &job, std::string &error)
 JobConfig
 jobFromArgs(const Args &args, JobConfig job)
 {
+    // Each integer flag parses into its field's range: a negative or
+    // oversized value is fatal before anything simulates.
     const auto number = [&args](const char *key, auto fallback) {
-        return static_cast<decltype(fallback)>(
-            args.getInt(key, static_cast<std::int64_t>(fallback)));
+        using Field = decltype(fallback);
+        constexpr auto max = static_cast<std::int64_t>(
+            std::min<std::uint64_t>(std::numeric_limits<Field>::max(),
+                                    std::numeric_limits<std::int64_t>::max()));
+        return static_cast<Field>(args.getIntInRange(
+            key, static_cast<std::int64_t>(fallback), 0, max));
     };
     if (args.getBool("campaign"))
         job.type = JobType::Campaign;

@@ -33,6 +33,12 @@ enum class JobType : std::uint8_t
 /** Stable job-type name ("sweep" / "campaign"). */
 const char *jobTypeName(JobType type);
 
+/**
+ * Largest AVF-over-time window count a sweep accepts: each window
+ * keeps per-mode accumulators on every pool thread.
+ */
+constexpr unsigned maxWindows = 1u << 16;
+
 /** One analysis job. */
 struct JobConfig
 {

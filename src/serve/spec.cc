@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iterator>
+#include <limits>
 
 #include "common/journal_io.hh"
 
@@ -42,6 +43,23 @@ getUint(const obs::JsonValue &job, const char *key,
         return false;
     }
     out = v->asUint();
+    return true;
+}
+
+/** getUint() into an unsigned field; a value past its range fails. */
+bool
+getUint(const obs::JsonValue &job, const char *key, unsigned &out,
+        std::string &error)
+{
+    std::uint64_t value = out;
+    if (!getUint(job, key, value, error))
+        return false;
+    if (value > std::numeric_limits<unsigned>::max()) {
+        error = std::string("job field '") + key + "' must be at most " +
+                std::to_string(std::numeric_limits<unsigned>::max());
+        return false;
+    }
+    out = static_cast<unsigned>(value);
     return true;
 }
 
@@ -99,19 +117,14 @@ parseJob(const obs::JsonValue &doc, std::size_t index,
         return false;
     }
 
-    std::uint64_t scale = job.scale;
-    std::uint64_t interleave = job.interleave;
-    std::uint64_t modes = job.modes;
-    std::uint64_t windows = job.windows;
-    std::uint64_t protect_domain = job.protectDomain;
     const bool ok = getString(doc, "workload", job.workload, error) &&
-        getUint(doc, "scale", scale, error) &&
+        getUint(doc, "scale", job.scale, error) &&
         getString(doc, "structure", job.structure, error) &&
         getString(doc, "scheme", job.scheme, error) &&
         getString(doc, "style", job.style, error) &&
-        getUint(doc, "interleave", interleave, error) &&
-        getUint(doc, "modes", modes, error) &&
-        getUint(doc, "windows", windows, error) &&
+        getUint(doc, "interleave", job.interleave, error) &&
+        getUint(doc, "modes", job.modes, error) &&
+        getUint(doc, "windows", job.windows, error) &&
         getBool(doc, "shield_due", job.shieldDue, error) &&
         getDouble(doc, "total_fit", job.totalFit, error) &&
         getString(doc, "arena", job.arenaIn, error) &&
@@ -120,27 +133,18 @@ parseJob(const obs::JsonValue &doc, std::size_t index,
         getString(doc, "kind", job.kind, error) &&
         getDouble(doc, "watchdog", job.watchdog, error) &&
         getString(doc, "protect", job.protect, error) &&
-        getUint(doc, "protect_domain", protect_domain, error) &&
+        getUint(doc, "protect_domain", job.protectDomain, error) &&
         getUint(doc, "shard_trials", job.shardTrials, error) &&
         getString(doc, "fault", job.fault, error);
-    std::uint64_t stratify_windows = job.stratifyWindows;
-    std::uint64_t stratify_classes = job.stratifyClasses;
     const bool strat_ok = ok &&
         getBool(doc, "stratify", job.stratify, error) &&
-        getUint(doc, "stratify_windows", stratify_windows, error) &&
-        getUint(doc, "stratify_classes", stratify_classes, error) &&
+        getUint(doc, "stratify_windows", job.stratifyWindows, error) &&
+        getUint(doc, "stratify_classes", job.stratifyClasses, error) &&
         getUint(doc, "budget", job.budget, error);
     if (!ok || !strat_ok) {
         error = "job " + std::to_string(index) + ": " + error;
         return false;
     }
-    job.scale = static_cast<unsigned>(scale);
-    job.interleave = static_cast<unsigned>(interleave);
-    job.modes = static_cast<unsigned>(modes);
-    job.windows = static_cast<unsigned>(windows);
-    job.protectDomain = static_cast<unsigned>(protect_domain);
-    job.stratifyWindows = static_cast<unsigned>(stratify_windows);
-    job.stratifyClasses = static_cast<unsigned>(stratify_classes);
 
     if (!validateJob(job, error)) {
         error = "job " + std::to_string(index) + ": " + error;

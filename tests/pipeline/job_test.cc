@@ -77,6 +77,22 @@ TEST(JobValidation, RejectsOneBadValuePerField)
          "way-physical interleave 3 must divide ways 4"},
         {sweepJob(), [](JobConfig &j) { j.modes = 0; },
          "modes must be at least 1"},
+        {sweepJob(), [](JobConfig &j) { j.modes = 65; },
+         "modes must be at most 64"},
+        {sweepJob(), [](JobConfig &j) { j.windows = maxWindows + 1; },
+         "windows must be at most 65536"},
+        {sweepJob(),
+         [](JobConfig &j) {
+             j.totalFit = std::numeric_limits<double>::quiet_NaN();
+         },
+         "total_fit must be a finite rate >= 0"},
+        {sweepJob(),
+         [](JobConfig &j) {
+             j.totalFit = std::numeric_limits<double>::infinity();
+         },
+         "total_fit must be a finite rate >= 0"},
+        {sweepJob(), [](JobConfig &j) { j.totalFit = -5; },
+         "total_fit must be a finite rate >= 0"},
         {sweepJob(), [](JobConfig &j) { j.arenaIn = "a.bin"; },
          "a sweep needs exactly one of workload/arena"},
         {sweepJob(), [](JobConfig &j) { j.stratify = true; },

@@ -88,6 +88,23 @@ TEST(ServeSpec, RejectsMalformedJobs)
             "workload": "histogram", "watchdog": -1}]})")
             .find("job 0: watchdog must be a finite multiple >= 0"),
         std::string::npos);
+    // A value past its field's range is rejected, not truncated
+    // (4294967304 would wrap to 8).
+    EXPECT_NE(
+        parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "modes": 4294967304}]})")
+            .find("job 0: job field 'modes' must be at most 4294967295"),
+        std::string::npos);
+    EXPECT_NE(
+        parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "modes": 65}]})")
+            .find("job 0: modes must be at most 64"),
+        std::string::npos);
+    EXPECT_NE(
+        parseError(R"({"jobs": [{"type": "sweep",
+            "workload": "histogram", "total_fit": -5}]})")
+            .find("job 0: total_fit must be a finite rate >= 0"),
+        std::string::npos);
     // Configurations the pipeline would only reject after simulating
     // are rejected up front (pipeline/job.hh validateJob()).
     EXPECT_NE(

@@ -40,6 +40,7 @@
  */
 
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -175,19 +176,21 @@ main(int argc, char **argv)
     defaults.structure = "vgpr";
     defaults.scheme = "secded";
     JobConfig job = jobFromArgs(args, defaults);
-    const unsigned mode_size =
-        static_cast<unsigned>(args.getInt("mode", 4));
+    constexpr std::int64_t uint_max = std::numeric_limits<unsigned>::max();
+    const auto mode_size =
+        static_cast<unsigned>(args.getIntInRange("mode", 4, 0, uint_max));
     job.modes = mode_size;
-    const unsigned cover_modes =
-        static_cast<unsigned>(args.getInt("cover-modes", 4));
-    const unsigned top =
-        static_cast<unsigned>(args.getInt("top", 10));
+    const auto cover_modes = static_cast<unsigned>(
+        args.getIntInRange("cover-modes", 4, 0, uint_max));
+    const auto top =
+        static_cast<unsigned>(args.getIntInRange("top", 10, 0, uint_max));
     std::string error;
     if (!validateJob(job, error)) {
         std::cerr << "mbavf_analyze: " << error << "\n";
         return 1;
     }
-    setParallelThreads(static_cast<unsigned>(args.getInt("threads", 1)));
+    setParallelThreads(static_cast<unsigned>(
+        args.getIntInRange("threads", 1, 0, uint_max)));
 
     const std::string manifest_path = args.getString("manifest", "");
     obs::Manifest manifest("mbavf_analyze");
@@ -204,7 +207,8 @@ main(int argc, char **argv)
 
     CheckReport report;
     report.setPerCodeLimit(
-        static_cast<std::size_t>(args.getInt("max-findings", 16)));
+        static_cast<std::size_t>(
+            args.getIntInRange("max-findings", 16, 0, uint_max)));
 
     // --- Layer 1: program-flow passes --------------------------------
     if (corruption == "dead-def") {

@@ -26,6 +26,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "common/args.hh"
@@ -507,8 +508,8 @@ main(int argc, char **argv)
 
     // 0 = all hardware threads; unset = MBAVF_THREADS or hardware.
     if (args.has("threads")) {
-        setParallelThreads(
-            static_cast<unsigned>(args.getInt("threads", 0)));
+        setParallelThreads(static_cast<unsigned>(args.getIntInRange(
+            "threads", 0, 0, std::numeric_limits<unsigned>::max())));
     }
 
     const JobConfig job = jobFromArgs(args);
