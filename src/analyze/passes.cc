@@ -41,25 +41,20 @@ lintDataflow(const DataflowLog &log, const Liveness &liveness,
     // consumers too — an address use keeps a value "used" even
     // though address anchors themselves are never flagged.
     std::vector<bool> used(num_defs, false);
-    for (DefId d = 0; d < num_defs; ++d) {
-        const unsigned n = log.numSrcs(d);
-        for (unsigned i = 0; i < n; ++i) {
-            const SrcUse s = log.src(d, i);
-            if (s.def != noDef && s.def < num_defs)
-                used[s.def] = true;
-        }
-    }
+    log.forEachSrc([&](DefId, const SrcUse &s) {
+        if (s.def != noDef && s.def < num_defs)
+            used[s.def] = true;
+    });
 
     // Aggregate per static instruction: an instruction is broken
     // only when every dynamic instance shows the pattern. std::map
     // keys the report order by tag, so findings come out sorted.
     std::map<InstrTag, TagTally> dead;
     std::map<InstrTag, TagTally> masked;
-    for (DefId d = 0; d < num_defs; ++d) {
-        const InstrTag tag = log.defTag(d);
+    log.forEachDef([&](DefId d, InstrTag tag, std::uint32_t output) {
         if (tag == noInstrTag)
-            continue; // synthetic anchors are not instructions
-        const bool consumed = used[d] || log.outputMask(d) != 0;
+            return; // synthetic anchors are not instructions
+        const bool consumed = used[d] || output != 0;
         TagTally &dt = dead[tag];
         ++dt.instances;
         if (!consumed)
@@ -68,7 +63,7 @@ lintDataflow(const DataflowLog &log, const Liveness &liveness,
         ++mt.instances;
         if (consumed && liveness.relevance(d) == 0)
             ++mt.defective;
-    }
+    });
 
     for (const auto &[tag, tally] : dead) {
         if (tally.defective == tally.instances) {
