@@ -9,6 +9,10 @@ with the checked-in golden file (ci/golden/IDENTITY.json):
                        --manifest for S in {l1, l2, vgpr} and T in
                        {1, 4}; both thread counts must give the one
                        recorded hash of the manifest and of the arena
+  designs/<workload>   mbavf --arena-in sweeps of the l1, l2 and vgpr
+                       arenas (written at --threads=4) over DESIGNS:
+                       every scheme and interleaving style, and
+                       --modes from 1 to 64 (wider than a VGPR row)
   campaign/<workload>  seeded uniform register and memory campaigns
   stratified           one seeded stratified campaign
   analyze              one mbavf_analyze run (manifest, stdout and
@@ -49,6 +53,23 @@ WORKLOADS = [
 STRUCTURES = ["l1", "l2", "vgpr"]
 THREADS = [1, 4]
 CAMPAIGN_WORKLOADS = ["bfs", "nw", "histogram", "minife"]
+# (structure, scheme, style, interleave, modes, windows) of each
+# designs/<workload> sweep: perfbench's design grid, then an L2 design
+# and the --modes/--windows extremes.
+DESIGNS = [
+    ("l1", "parity", "way", 2, 8, 8),
+    ("l1", "secded", "way", 4, 8, 8),
+    ("l1", "dected", "index", 4, 8, 8),
+    ("l1", "parity", "logical", 1, 8, 8),
+    ("l1", "secded", "index", 2, 8, 8),
+    ("vgpr", "parity", "inter", 2, 8, 8),
+    ("vgpr", "secded", "intra", 1, 8, 8),
+    ("vgpr", "dected", "inter", 4, 8, 8),
+    ("l2", "secded", "way", 4, 8, 8),
+    ("l1", "parity", "way", 2, 1, 8),
+    ("vgpr", "secded", "intra", 1, 40, 3),
+    ("l1", "crc", "logical", 1, 64, 0),
+]
 NONDETERMINISTIC = {"phases", "env", "build"}
 
 
@@ -94,6 +115,25 @@ def sweep_entry(bindir, workload, work):
     return out
 
 
+def designs_entry(bindir, workload, work):
+    """One manifest hash per DESIGNS sweep of the saved arenas."""
+    for structure in STRUCTURES:
+        run([bindir / "mbavf", f"--workload={workload}",
+             f"--structure={structure}", "--threads=4",
+             f"--arena-out={work / structure}.arena"])
+    out = {}
+    for structure, scheme, style, il, modes, windows in DESIGNS:
+        key = f"{structure}/{scheme}-{style}-{il}/m{modes}w{windows}"
+        manifest = work / "design.json"
+        run([bindir / "mbavf", f"--arena-in={work / structure}.arena",
+             f"--structure={structure}", f"--scheme={scheme}",
+             f"--style={style}", f"--interleave={il}",
+             f"--modes={modes}", f"--windows={windows}", "--threads=4",
+             f"--manifest={manifest}"])
+        out[key] = manifest_hash(manifest)
+    return out
+
+
 def campaign_entry(bindir, workload, work):
     out = {}
     for kind, seed in (("register", 11), ("memory", 12)):
@@ -123,6 +163,7 @@ def analyze_entry(bindir, work):
 
 def entries():
     names = [f"sweep/{w}" for w in WORKLOADS]
+    names += [f"designs/{w}" for w in WORKLOADS]
     names += [f"campaign/{w}" for w in CAMPAIGN_WORKLOADS]
     return names + ["stratified", "analyze"]
 
@@ -133,6 +174,8 @@ def run_entry(bindir, name):
         kind, _, workload = name.partition("/")
         if kind == "sweep" and workload in WORKLOADS:
             return sweep_entry(bindir, workload, work)
+        if kind == "designs" and workload in WORKLOADS:
+            return designs_entry(bindir, workload, work)
         if kind == "campaign" and workload in CAMPAIGN_WORKLOADS:
             return campaign_entry(bindir, workload, work)
         if name == "stratified":
