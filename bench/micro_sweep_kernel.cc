@@ -1,39 +1,31 @@
 /**
  * @file
- * Microbenchmark: the sweep-kernel implementation ladder.
+ * Microbenchmark: the sweep kernel against the per-mode reference.
  *
  * Runs the Figure 4 workload shape — L1 cache lifetimes, parity, x2
- * interleaving — through four paths per workload:
+ * interleaving — through three paths per workload:
  *
  *   ref     max_mode independent computeMbAvf walks over the store
  *           (MbAvfOptions::referenceKernel)
- *   scalar  the single-pass flat-arena kernel, portable scalar
- *           implementation (MbAvfOptions::scalarKernel)
- *   simd    the same kernel with runtime dispatch enabled — the AVX2
- *           lane-transposed path where the host supports it, the
- *           scalar path otherwise
- *   mmap    the simd path again, but sweeping an arena persisted
- *           with core/arena_io.hh and mapped back from disk
+ *   kernel  the single-pass bit-sliced arena kernel
+ *   mmap    the kernel again, sweeping an arena persisted with
+ *           core/arena_io.hh and mapped back from disk
  *
- * All four must produce bit-identical AVF fractions and window
+ * All three must produce bit-identical AVF fractions and window
  * series; the table records the per-workload times plus the
- * ref-over-simd and scalar-over-simd speedups and their geomeans.
+ * ref-over-kernel speedup and its geomean.
  *
  *   micro_sweep_kernel [--workloads=a,b] [--scale=N] [--modes=8]
  *                      [--repeats=3] [--threads=N] [--min-speedup=X]
- *                      [--min-simd-speedup=Y]
  *
  * Exit status is nonzero if any path's results diverge from the
- * reference, if the geomean ref-over-simd speedup falls below
- * --min-speedup, or if the geomean scalar-over-simd speedup falls
- * below --min-simd-speedup (0 disables either gate; the SIMD gate is
- * skipped, with a note, when the host has no AVX2 path or
- * --modes=1 pins the dispatch to scalar). Workloads below the
- * --min-speedup floor are listed in the manifest's run section as
- * "below_floor", so CI failures name the regressing subset instead
- * of just the aggregate. CI runs both floors so a kernel perf
- * regression fails the bench-smoke job directly, independent of
- * runner-to-runner timing noise in the manifests.
+ * reference, or if the geomean ref-over-kernel speedup falls below
+ * --min-speedup (0 disables the gate). Workloads below the floor are
+ * listed in the manifest's run section as "below_floor", so CI
+ * failures name the regressing subset instead of just the aggregate.
+ * CI runs the floor so a kernel perf regression fails the bench-smoke
+ * job directly, independent of runner-to-runner timing noise in the
+ * manifests.
  */
 
 #include <cstdio>
@@ -46,7 +38,6 @@
 #include "common/stats.hh"
 #include "core/arena_io.hh"
 #include "core/lifetime_arena.hh"
-#include "core/mbavf_kernel.hh"
 #include "core/protection.hh"
 #include "core/sweep.hh"
 #include "obs/stopwatch.hh"
@@ -134,21 +125,14 @@ main(int argc, char **argv)
     const unsigned repeats =
         static_cast<unsigned>(args.getInt("repeats", 3));
     const double min_speedup = args.getDouble("min-speedup", 0.0);
-    const double min_simd = args.getDouble("min-simd-speedup", 0.0);
-    // --modes=1 dispatches to the scalar kernel by design, so the
-    // simd and scalar columns measure the same code there.
-    const bool simd_live =
-        detail::avx2KernelAvailable() && max_mode > 1;
 
-    std::cout << "sweep kernel ladder: reference per-mode path vs "
-                 "scalar / simd / mmap arena kernel, "
-              << max_mode << " modes (simd "
-              << (simd_live ? "avx2" : "scalar fallback") << ")\n\n";
+    std::cout << "sweep kernel: reference per-mode path vs in-memory "
+                 "and mmap arena kernel, "
+              << max_mode << " modes\n\n";
 
-    Table table({"workload", "ref ms", "scalar ms", "simd ms",
-                 "mmap ms", "speedup", "simd x"});
+    Table table({"workload", "ref ms", "kernel ms", "mmap ms",
+                 "speedup"});
     RunningStats g_speedup;
-    RunningStats g_simd;
     ParityScheme parity;
     bool identical = true;
     std::vector<std::string> below_floor;
@@ -165,17 +149,13 @@ main(int argc, char **argv)
         opt.numWindows = 8;
         opt.numThreads = threads;
 
-        ModeSweep ref, scalar, simd, mapped;
+        ModeSweep ref, kernel, mapped;
         opt.referenceKernel = true;
         double ref_s = timeSweep(*array, run.l1, parity, opt,
                                  max_mode, repeats, ref);
         opt.referenceKernel = false;
-        opt.scalarKernel = true;
-        double scalar_s = timeSweep(*array, run.l1, parity, opt,
-                                    max_mode, repeats, scalar);
-        opt.scalarKernel = false;
-        double simd_s = timeSweep(*array, run.l1, parity, opt,
-                                  max_mode, repeats, simd);
+        double kernel_s = timeSweep(*array, run.l1, parity, opt,
+                                    max_mode, repeats, kernel);
 
         // Persist + map back: the disk round trip must neither
         // change a single bit nor cost measurable sweep time.
@@ -194,27 +174,22 @@ main(int argc, char **argv)
                                        opt, max_mode, repeats, mapped);
         std::remove(arena_path.c_str());
 
-        if (!sameSweep(ref, scalar) || !sameSweep(ref, simd) ||
-            !sameSweep(ref, mapped)) {
+        if (!sameSweep(ref, kernel) || !sameSweep(ref, mapped)) {
             std::cerr << "FAIL: kernel results diverge from the "
                          "reference path on " << name << "\n";
             identical = false;
         }
 
-        double speedup = simd_s > 0 ? ref_s / simd_s : 0.0;
-        double simd_x = simd_s > 0 ? scalar_s / simd_s : 0.0;
+        double speedup = kernel_s > 0 ? ref_s / kernel_s : 0.0;
         g_speedup.add(speedup);
-        g_simd.add(simd_x);
         if (min_speedup > 0 && speedup < min_speedup)
             below_floor.push_back(name);
         table.beginRow()
             .cell(name)
             .cell(ref_s * 1e3, 2)
-            .cell(scalar_s * 1e3, 2)
-            .cell(simd_s * 1e3, 2)
+            .cell(kernel_s * 1e3, 2)
             .cell(mmap_s * 1e3, 2)
-            .cell(speedup, 2)
-            .cell(simd_x, 2);
+            .cell(speedup, 2);
     }
 
     table.beginRow()
@@ -222,15 +197,11 @@ main(int argc, char **argv)
         .cell("")
         .cell("")
         .cell("")
-        .cell("")
-        .cell(g_speedup.geomean(), 2)
-        .cell(g_simd.geomean(), 2);
+        .cell(g_speedup.geomean(), 2);
     bench.emit(table);
     bench.meta("modes", static_cast<std::uint64_t>(max_mode));
     bench.meta("repeats", static_cast<std::uint64_t>(repeats));
     bench.meta("min_speedup", min_speedup);
-    bench.meta("min_simd_speedup", min_simd);
-    bench.meta("simd", std::string(simd_live ? "avx2" : "scalar"));
     obs::JsonValue floor_list = obs::JsonValue::array();
     for (const std::string &name : below_floor)
         floor_list.push(obs::JsonValue(name));
@@ -253,17 +224,6 @@ main(int argc, char **argv)
         }
         std::cout << "\n";
         return 1;
-    }
-    if (min_simd > 0) {
-        if (!simd_live) {
-            std::cout << "note: --min-simd-speedup skipped (no simd "
-                         "path on this build/host)\n";
-        } else if (g_simd.geomean() < min_simd) {
-            std::cout << "FAIL: geomean simd-over-scalar speedup "
-                      << g_simd.geomean() << "x below the required "
-                      << min_simd << "x\n";
-            return 1;
-        }
     }
     return 0;
 }

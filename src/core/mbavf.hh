@@ -80,15 +80,6 @@ struct MbAvfOptions
      * bench/micro_sweep_kernel's before/after measurement.
      */
     bool referenceKernel = false;
-
-    /**
-     * Force the arena kernel's portable scalar implementation even
-     * when the runtime-dispatched AVX2 kernel is available. The two
-     * are bit-identical on every input; the flag exists for
-     * differential testing and for benchmarking the SIMD speedup
-     * against the scalar arena baseline.
-     */
-    bool scalarKernel = false;
 };
 
 /** Result of one MB-AVF computation. */
@@ -133,16 +124,14 @@ class LifetimeArena;
  * contiguous wordline mode 1x1 .. (max_mode)x1 in one traversal of
  * the array.
  *
- * For each anchor position the kernel merges the member words'
- * segment boundaries once (reading the flat arena, not per-word
- * vectors) and, per elementary time slice, grows the fault group one
- * member at a time: after member m joins, the per-region flip
- * counts, ACE/read state, and region outcomes are updated
- * incrementally (only the region the new member lands in can
- * change), and the group outcome for mode (m)x1 is emitted into that
- * mode's accumulator. An M-mode sweep therefore costs O(M) region
- * updates per slice instead of the per-mode path's O(M^2), and one
- * boundary merge per anchor instead of M.
+ * The kernel is bit-sliced: one u64 holds the state of 64 adjacent
+ * anchors, member j of all 64 is one shifted read of the row's
+ * column bitsets, and each mode's SDC / true-DUE / false-DUE anchors
+ * are ORs over the group's protection-domain regions. Each row walks
+ * its words' segment transitions once in time order and adds, per
+ * mode and class, the number of anchors in that class times the time
+ * since the last transition. Groups that the scheme corrects in every
+ * mode are skipped. See core/mbavf_kernel.cc.
  *
  * results[m-1] is bit-identical to
  * computeMbAvf(array, store, scheme, mx1(m), opt) — AVF fractions,

@@ -1,20 +1,13 @@
 /**
  * @file
- * Internals shared by the sweep-kernel translation units.
+ * Internals of the multi-mode sweep kernel.
  *
- * The single-pass multi-mode kernel has two implementations: the
- * portable scalar kernel in core/mbavf.cc (the differential oracle
- * and non-x86 fallback) and the AVX2 lane-per-prefix kernel in
- * core/mbavf_kernel_avx2.cc, compiled with -mavx2 and selected at
- * runtime. Both emit into the same accumulator types, so the pieces
- * they share live here.
+ * The per-mode reference path (computeMbAvf in core/mbavf.cc) and
+ * the bit-sliced multi-mode kernel (core/mbavf_kernel.cc) classify
+ * regions with the same rules and emit into the same accumulator
+ * types, so the pieces they share live here.
  *
  * This header is internal to src/core — not part of the public API.
- * The accumulator methods with loops are deliberately defined
- * out-of-line (core/mbavf_kernel.cc, compiled without -mavx2): if
- * they were inline, the linker could keep the AVX2-compiled copy of
- * a shared weak symbol and feed illegal instructions to the scalar
- * path on pre-AVX2 hardware.
  */
 
 #ifndef MBAVF_CORE_MBAVF_KERNEL_HH
@@ -99,10 +92,10 @@ class OutcomeAccumulator
     void add(Outcome outcome, Cycle begin, Cycle end);
 
     /**
-     * Raw deposits for kernels that accumulate class/window time in
-     * flat local tensors and fold once at the end (the AVX2 kernel):
-     * @p idx is a classIndex() value. Exactly additive with add() —
-     * folding partial sums deposits the same integers.
+     * Raw deposits for a kernel that accumulates class/window time in
+     * flat local tensors and folds once at the end (the bit-sliced
+     * kernel): @p idx is a classIndex() value. Exactly additive with
+     * add() — folding partial sums deposits the same integers.
      */
     void addRaw(unsigned idx, Cycle amount);
     void addWindowRaw(unsigned window, unsigned idx, Cycle amount);
@@ -140,22 +133,6 @@ class OutcomeAccumulator
     std::vector<Cycle> bounds_;
 };
 
-/**
- * One change point of a single physical bit's lifetime: from @c at
- * onward the bit is ACE-live and/or read-shadowed, until the bit's
- * next event. Both zero is equivalent to a lifetime gap. Events at
- * or after the sweep horizon are never materialized — they cannot
- * open a slice, and a close at exactly the horizon would collide
- * with the kernels' no-pending-event sentinel when the horizon is
- * UINT64_MAX (open runs are flushed to the horizon instead).
- */
-struct BitEvent
-{
-    Cycle at;
-    std::uint8_t live;
-    std::uint8_t read;
-};
-
 /** One OutcomeAccumulator per mode, merged pairwise in band order. */
 struct ModeAccumulators
 {
@@ -167,7 +144,7 @@ struct ModeAccumulators
     void mergeFrom(const ModeAccumulators &other);
 };
 
-/** Inputs of one multi-mode row-band sweep, shared by both kernels. */
+/** Inputs of one multi-mode row-band sweep. */
 struct SweepCtx
 {
     const PhysicalArray *array = nullptr;
@@ -187,21 +164,14 @@ struct SweepTallies
 };
 
 /**
- * True when the AVX2 kernel is compiled in (MBAVF_SIMD on x86-64)
- * and this CPU supports AVX2. Cheap enough to query per call.
+ * Bit-sliced row-band sweep: process anchor rows [row_begin,
+ * row_end), accumulating every mode 1x1..maxMode x1 into @p out.
+ * Bit-identical to computeMbAvf() per mode — the same integer
+ * group-cycle sums, whole-run and per window.
  */
-bool avx2KernelAvailable();
-
-/**
- * AVX2 lane-per-prefix row-band sweep: process anchor rows
- * [row_begin, row_end), accumulating every mode 1x1..maxMode x1 into
- * @p out. Bit-identical to the scalar kernel in core/mbavf.cc —
- * same elementary slices, same run coalescing rule, same counters.
- * Must only be called when avx2KernelAvailable() is true.
- */
-void sweepRowsAvx2(const SweepCtx &ctx, std::uint64_t row_begin,
-                   std::uint64_t row_end, ModeAccumulators &out,
-                   SweepTallies &tallies);
+void sweepRows(const SweepCtx &ctx, std::uint64_t row_begin,
+               std::uint64_t row_end, ModeAccumulators &out,
+               SweepTallies &tallies);
 
 } // namespace detail
 } // namespace mbavf
