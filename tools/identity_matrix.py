@@ -17,6 +17,11 @@ with the checked-in golden file (ci/golden/IDENTITY.json):
   stratified           one seeded stratified campaign
   analyze              one mbavf_analyze run (manifest, stdout and
                        exit status)
+  attribution/<workload>
+                       mbavf_analyze --threads=4 --top=1000000 runs
+                       over ATTRIBUTIONS (manifest, stdout and exit
+                       status of each): the whole per-instruction
+                       table of three designs
 
 A manifest's deterministic sections are all of it except "phases",
 "env" and "build", which hold timings, the thread count and the
@@ -69,6 +74,15 @@ DESIGNS = [
     ("l1", "parity", "way", 2, 1, 8),
     ("vgpr", "secded", "intra", 1, 40, 3),
     ("l1", "crc", "logical", 1, 64, 0),
+]
+# (structure, scheme, style, interleave, mode) of each
+# attribution/<workload> run: mbavf_analyze's default design (DUE
+# shields SDC), VGPR parity with no shield, and an L1 design whose
+# corrected regions sit beside detected ones.
+ATTRIBUTIONS = [
+    ("vgpr", "secded", "inter", 2, 4),
+    ("vgpr", "parity", "intra", 1, 8),
+    ("l1", "dected", "index", 4, 12),
 ]
 NONDETERMINISTIC = {"phases", "env", "build"}
 
@@ -161,9 +175,27 @@ def analyze_entry(bindir, work):
     return {"manifest": manifest_hash(manifest), "stdout": sha256(stdout)}
 
 
+def attribution_entry(bindir, workload, work):
+    """Manifest, stdout and exit status of each ATTRIBUTIONS run."""
+    out = {}
+    for structure, scheme, style, il, mode in ATTRIBUTIONS:
+        key = f"{structure}/{scheme}-{style}-{il}/m{mode}"
+        manifest = work / "attribution.json"
+        # A run with findings exits 2.
+        stdout = run([bindir / "mbavf_analyze", f"--workload={workload}",
+                      f"--structure={structure}", f"--scheme={scheme}",
+                      f"--style={style}", f"--interleave={il}",
+                      f"--mode={mode}", "--threads=4", "--top=1000000",
+                      f"--manifest={manifest}"], (0, 2))
+        out[key] = {"manifest": manifest_hash(manifest),
+                    "stdout": sha256(stdout)}
+    return out
+
+
 def entries():
     names = [f"sweep/{w}" for w in WORKLOADS]
     names += [f"designs/{w}" for w in WORKLOADS]
+    names += [f"attribution/{w}" for w in WORKLOADS]
     names += [f"campaign/{w}" for w in CAMPAIGN_WORKLOADS]
     return names + ["stratified", "analyze"]
 
@@ -176,6 +208,8 @@ def run_entry(bindir, name):
             return sweep_entry(bindir, workload, work)
         if kind == "designs" and workload in WORKLOADS:
             return designs_entry(bindir, workload, work)
+        if kind == "attribution" and workload in WORKLOADS:
+            return attribution_entry(bindir, workload, work)
         if kind == "campaign" and workload in CAMPAIGN_WORKLOADS:
             return campaign_entry(bindir, workload, work)
         if name == "stratified":
