@@ -5,8 +5,8 @@
  * Runs the Figure 4 workload shape — L1 cache lifetimes, parity, x2
  * interleaving — through three paths per workload:
  *
- *   ref     max_mode independent computeMbAvf walks over the store
- *           (MbAvfOptions::referenceKernel)
+ *   ref     max_mode independent computeMbAvf walks over the store,
+ *           one per mode
  *   kernel  the single-pass bit-sliced arena kernel
  *   mmap    the kernel again, sweeping an arena persisted with
  *           core/arena_io.hh and mapped back from disk
@@ -73,16 +73,28 @@ sameSweep(const ModeSweep &a, const ModeSweep &b)
     return true;
 }
 
-/** Best-of-@p repeats wall time of one sweepModes() call, seconds. */
+/**
+ * Best-of-@p repeats wall time, seconds, of one sweepModes() call, or
+ * with @p reference of one computeMbAvf() per mode.
+ */
 double
 timeSweep(const PhysicalArray &array, const LifetimeStore &store,
           const ProtectionScheme &scheme, const MbAvfOptions &opt,
-          unsigned max_mode, unsigned repeats, ModeSweep &out)
+          unsigned max_mode, bool reference, unsigned repeats,
+          ModeSweep &out)
 {
     double best = 0.0;
     for (unsigned r = 0; r < repeats; ++r) {
         obs::Stopwatch watch;
-        ModeSweep sweep = sweepModes(array, store, scheme, opt, max_mode);
+        ModeSweep sweep;
+        if (!reference) {
+            sweep = sweepModes(array, store, scheme, opt, max_mode);
+        } else {
+            for (unsigned m = 1; m <= max_mode; ++m) {
+                sweep.results.push_back(computeMbAvf(
+                    array, store, scheme, FaultMode::mx1(m), opt));
+            }
+        }
         double s = watch.seconds();
         if (r == 0 || s < best)
             best = s;
@@ -150,12 +162,10 @@ main(int argc, char **argv)
         opt.numThreads = threads;
 
         ModeSweep ref, kernel, mapped;
-        opt.referenceKernel = true;
         double ref_s = timeSweep(*array, run.l1, parity, opt,
-                                 max_mode, repeats, ref);
-        opt.referenceKernel = false;
+                                 max_mode, true, repeats, ref);
         double kernel_s = timeSweep(*array, run.l1, parity, opt,
-                                    max_mode, repeats, kernel);
+                                    max_mode, false, repeats, kernel);
 
         // Persist + map back: the disk round trip must neither
         // change a single bit nor cost measurable sweep time.

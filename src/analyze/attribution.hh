@@ -5,17 +5,18 @@
  *
  * computeMbAvf() answers "how vulnerable is this structure"; the
  * attribution engine answers "which instruction's data is at risk".
- * attributeMbAvf() re-runs the same group sweep over the same
- * elementary time slices, but instead of only accumulating each
- * non-unACE slice into a class total it also charges the slice —
- * whole, to exactly one member bit's defining instruction (the
- * InstrTag carried on the member's active LifeSegment). Charging is
- * a partition of the slice integral, so per-tag integer group-cycle
- * sums add up to computeMbAvf()'s raw totals *exactly*, per outcome
- * class, and checkConservation() asserts that equality bit-for-bit.
+ * attributeMbAvf() runs the bit-sliced sweep kernel with its per-tag
+ * sink (computeMbAvfModes with charges): every cycle of every group
+ * whose outcome is not unACE is charged — whole — to exactly one
+ * member bit's defining instruction, the InstrTag carried on the
+ * member's active LifeSegment. Charging is a partition of the
+ * group-cycle integral, so per-tag integer sums add up to the MB-AVF
+ * raw totals *exactly*, per outcome class. checkConservation()
+ * compares them bit-for-bit with computeMbAvf(), the independent
+ * per-group reference sweep, so the check spans two engines.
  *
  * The charge rule is deterministic and causal: the charged member is
- * the first member in pattern-offset order that exhibits the group's
+ * the first member in column order that exhibits the group's
  * outcome class —
  *
  * - SDC: first ACE-live member bit in an unprotected (Undetected)
@@ -26,10 +27,9 @@
  * - false DUE: first read-shadowed member bit in a Detected region
  *   (the dead-but-read data whose flip would still trip detection).
  *
- * The sweep parallelizes exactly like computeMbAvf(): anchor-row
- * bands of thread-count-independent granularity whose per-tag
- * partial sums are plain integer additions, so results are
- * bit-identical at any --threads.
+ * The kernel sweeps anchor-row bands of thread-count-independent
+ * granularity whose per-tag partial sums are plain integer
+ * additions, so results are bit-identical at any --threads.
  */
 
 #ifndef MBAVF_ANALYZE_ATTRIBUTION_HH
@@ -90,9 +90,9 @@ struct AttributionResult
 
 /**
  * Attribute the MB-AVF of @p mode on @p array under @p scheme to the
- * defining instructions recorded in @p store's segment tags.
- * Windowing options are ignored; threading options behave exactly as
- * in computeMbAvf().
+ * defining instructions recorded in @p store's segment tags. @p mode
+ * must be Mx1 (fatal otherwise). Windowing options are ignored;
+ * threading options behave exactly as in computeMbAvf().
  */
 AttributionResult attributeMbAvf(const PhysicalArray &array,
                                  const LifetimeStore &store,

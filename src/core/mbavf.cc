@@ -7,6 +7,7 @@
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "core/ace_class.hh"
+#include "core/lifetime_arena.hh"
 #include "core/mbavf_kernel.hh"
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
@@ -319,7 +320,7 @@ computeSbAvf(const PhysicalArray &array, const LifetimeStore &store,
 std::vector<MbAvfResult>
 computeMbAvfModes(const PhysicalArray &array, const LifetimeArena &arena,
                   const ProtectionScheme &scheme, const MbAvfOptions &opt,
-                  unsigned max_mode)
+                  unsigned max_mode, TagCycles *charges)
 {
     if (opt.horizon == 0)
         fatal("MB-AVF horizon must be nonzero");
@@ -343,8 +344,11 @@ computeMbAvfModes(const PhysicalArray &array, const LifetimeArena &arena,
         results[m - 1].numGroups =
             m <= cols ? rows * (cols - m + 1) : 0;
     }
-    if (rows == 0 || cols == 0)
+    if (rows == 0 || cols == 0) {
+        if (charges)
+            charges->clear();
         return results;
+    }
 
     // The protection action of a region depends only on its member
     // count; memoize the virtual calls once for the whole sweep.
@@ -365,6 +369,7 @@ computeMbAvfModes(const PhysicalArray &array, const LifetimeArena &arena,
     ctx.dueShields = opt.dueShieldsSdc;
     ctx.maxMode = max_mode;
     ctx.actionOf = action_of.data();
+    ctx.charge = charges != nullptr;
     auto sweep_rows = [&](std::uint64_t row_begin,
                           std::uint64_t row_end,
                           ModeAccumulators &out) {
@@ -398,6 +403,8 @@ computeMbAvfModes(const PhysicalArray &array, const LifetimeArena &arena,
                 into.mergeFrom(part);
             });
     }
+    if (charges)
+        *charges = std::move(acc.tags);
 
     for (unsigned m = 1; m <= max_mode; ++m) {
         MbAvfResult &result = results[m - 1];

@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -71,15 +72,6 @@ struct MbAvfOptions
      * band order.
      */
     unsigned numThreads = 1;
-
-    /**
-     * Force sweepModes() onto the original one-mode-at-a-time path
-     * (computeMbAvf per mode) instead of the single-pass multi-mode
-     * arena kernel. The two are bit-identical at any thread count;
-     * the reference path exists for differential testing and for
-     * bench/micro_sweep_kernel's before/after measurement.
-     */
-    bool referenceKernel = false;
 };
 
 /** Result of one MB-AVF computation. */
@@ -119,6 +111,10 @@ MbAvfResult computeMbAvf(const PhysicalArray &array,
 
 class LifetimeArena;
 
+/** Group-cycles per outcome class {SDC, TrueDue, FalseDue}, by the
+ *  segment tag they are charged to. */
+using TagCycles = std::unordered_map<InstrTag, std::array<Cycle, 3>>;
+
 /**
  * Single-pass multi-mode sweep kernel: compute the MB-AVF of every
  * contiguous wordline mode 1x1 .. (max_mode)x1 in one traversal of
@@ -136,12 +132,20 @@ class LifetimeArena;
  * results[m-1] is bit-identical to
  * computeMbAvf(array, store, scheme, mx1(m), opt) — AVF fractions,
  * window series, and group counts — at any thread count.
+ *
+ * With @p charges (the attribution sink, analyze/attribution.hh),
+ * every failing group of mode (max_mode)x1 is also charged, for each
+ * cycle, to the segment tag of its first member in column order
+ * that shows the group's class, and *charges receives the per-tag
+ * sums (all under noInstrTag when @p arena is untagged). Without it
+ * the sweep does no charge work at all.
  */
 std::vector<MbAvfResult> computeMbAvfModes(const PhysicalArray &array,
                                            const LifetimeArena &arena,
                                            const ProtectionScheme &scheme,
                                            const MbAvfOptions &opt,
-                                           unsigned max_mode);
+                                           unsigned max_mode,
+                                           TagCycles *charges = nullptr);
 
 /**
  * Convenience: single-bit AVF of the structure (a 1x1 "multi-bit"

@@ -7,7 +7,8 @@
  * regions with the same rules and emit into the same accumulator
  * types, so the pieces they share live here.
  *
- * This header is internal to src/core — not part of the public API.
+ * This header is internal to src/core — not part of the public API
+ * (src/pipeline reads maxModeBits to bound --modes).
  */
 
 #ifndef MBAVF_CORE_MBAVF_KERNEL_HH
@@ -21,6 +22,7 @@
 #include "common/types.hh"
 #include "core/ace_class.hh"
 #include "core/layout.hh"
+#include "core/mbavf.hh"
 #include "core/protection.hh"
 
 namespace mbavf
@@ -133,10 +135,14 @@ class OutcomeAccumulator
     std::vector<Cycle> bounds_;
 };
 
-/** One OutcomeAccumulator per mode, merged pairwise in band order. */
+/**
+ * One OutcomeAccumulator per mode, merged pairwise in band order, and
+ * the per-tag charges of a charging sweep (SweepCtx::charge).
+ */
 struct ModeAccumulators
 {
     std::vector<OutcomeAccumulator> modes;
+    TagCycles tags;
 
     ModeAccumulators(Cycle horizon, unsigned num_windows,
                      unsigned max_mode);
@@ -154,6 +160,8 @@ struct SweepCtx
     unsigned maxMode = 0;
     /** Memoized scheme.action(k), k in [0, maxModeBits]. */
     const FaultAction *actionOf = nullptr;
+    /** Charge mode maxMode's failing groups to segment tags. */
+    bool charge = false;
 };
 
 /** Work counters a band sweep reports back to the obs metrics. */
@@ -167,7 +175,8 @@ struct SweepTallies
  * Bit-sliced row-band sweep: process anchor rows [row_begin,
  * row_end), accumulating every mode 1x1..maxMode x1 into @p out.
  * Bit-identical to computeMbAvf() per mode — the same integer
- * group-cycle sums, whole-run and per window.
+ * group-cycle sums, whole-run and per window. A charging sweep also
+ * adds mode maxMode's per-tag charges to out.tags.
  */
 void sweepRows(const SweepCtx &ctx, std::uint64_t row_begin,
                std::uint64_t row_end, ModeAccumulators &out,

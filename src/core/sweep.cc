@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/parallel.hh"
 #include "core/lifetime_arena.hh"
 #include "obs/phase.hh"
 
@@ -15,37 +14,12 @@ sweepModes(const PhysicalArray &array, const LifetimeStore &store,
            unsigned max_mode)
 {
     obs::ObsPhase obs_phase("avf.sweep");
-
-    if (!opt.referenceKernel) {
-        // Default path: flatten the store once and emit every mode
-        // in a single traversal (computeMbAvfModes), which row-band
-        // parallelizes on the shared pool internally.
-        LifetimeArena arena(store);
-        ModeSweep sweep;
-        sweep.results =
-            computeMbAvfModes(array, arena, scheme, opt, max_mode);
-        return sweep;
-    }
-
+    // Flatten the store once and emit every mode in a single
+    // traversal, row-band parallel on the shared pool.
+    LifetimeArena arena(store);
     ModeSweep sweep;
-    sweep.results.resize(max_mode);
-    if (opt.numThreads == 1) {
-        for (unsigned m = 1; m <= max_mode; ++m) {
-            sweep.results[m - 1] = computeMbAvf(
-                array, store, scheme, FaultMode::mx1(m), opt);
-        }
-        return sweep;
-    }
-    // Modes run concurrently on the shared pool; each mode task fans
-    // out its own row-band tasks (nested submission is supported), so
-    // the pool sees mode x band parallelism instead of an 8-step
-    // serial sweep. Results land in fixed slots — no ordering effect.
-    ensureParallelThreads(opt.numThreads);
-    runTasks(max_mode, [&](std::size_t m) {
-        sweep.results[m] = computeMbAvf(
-            array, store, scheme,
-            FaultMode::mx1(static_cast<unsigned>(m) + 1), opt);
-    });
+    sweep.results =
+        computeMbAvfModes(array, arena, scheme, opt, max_mode);
     return sweep;
 }
 

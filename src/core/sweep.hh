@@ -36,12 +36,10 @@ struct ModeSweep
 /**
  * Compute MB-AVFs for 1x1 through (max_mode)x1 faults.
  *
- * By default the sweep flattens @p store into a LifetimeArena and
- * runs the single-pass multi-mode kernel (computeMbAvfModes): one
- * traversal of the array emits every mode, instead of max_mode
- * independent computeMbAvf() walks. Set
- * MbAvfOptions::referenceKernel to force the original per-mode path;
- * both produce bit-identical results at any thread count.
+ * The sweep flattens @p store into a LifetimeArena and runs the
+ * single-pass multi-mode kernel (computeMbAvfModes): one traversal
+ * of the array emits every mode, bit-identical to max_mode
+ * independent computeMbAvf() walks at any thread count.
  */
 ModeSweep sweepModes(const PhysicalArray &array,
                      const LifetimeStore &store,

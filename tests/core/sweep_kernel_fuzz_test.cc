@@ -1,7 +1,7 @@
 /**
  * @file
  * Differential fuzz of the single-pass multi-mode sweep kernel
- * against the per-mode reference path (MbAvfOptions::referenceKernel).
+ * against the per-mode reference path (computeMbAvf once per mode).
  *
  * Random lifetime stores over random physical layouts, swept under
  * every protection scheme at varied horizons and window counts, must
@@ -174,6 +174,20 @@ expectIdentical(const ModeSweep &ref, const ModeSweep &got,
     expectSameDouble(sa.falseDue, sb.falseDue, label);
 }
 
+/** The reference: one computeMbAvf() per mode 1x1 .. (max_mode)x1. */
+ModeSweep
+referenceSweep(const PhysicalArray &array, const LifetimeStore &store,
+               const ProtectionScheme &scheme, const MbAvfOptions &opt,
+               unsigned max_mode)
+{
+    ModeSweep sweep;
+    for (unsigned m = 1; m <= max_mode; ++m) {
+        sweep.results.push_back(
+            computeMbAvf(array, store, scheme, FaultMode::mx1(m), opt));
+    }
+    return sweep;
+}
+
 /**
  * Sweep @p array / @p store through a random scheme, horizon, window
  * count, and combine rule, with the reference path and the arena
@@ -207,10 +221,8 @@ runTrial(const PhysicalArray &array, const LifetimeStore &store,
                            std::to_string(opt.numWindows) + " M=" +
                            std::to_string(max_mode) + ")";
 
-    MbAvfOptions ref_opt = opt;
-    ref_opt.referenceKernel = true;
     const ModeSweep ref =
-        sweepModes(array, store, *scheme, ref_opt, max_mode);
+        referenceSweep(array, store, *scheme, opt, max_mode);
 
     expectIdentical(ref, sweepModes(array, store, *scheme, opt,
                                     max_mode),
@@ -444,10 +456,8 @@ TEST(SweepKernelFuzz, ExtremeHorizons)
             MbAvfOptions opt;
             opt.horizon = horizon;
             opt.numWindows = windows;
-            MbAvfOptions ref_opt = opt;
-            ref_opt.referenceKernel = true;
             const ModeSweep ref =
-                sweepModes(array, store, *scheme, ref_opt, 8);
+                referenceSweep(array, store, *scheme, opt, 8);
             const std::string at =
                 "extreme horizon " +
                 std::to_string(kMax - horizon) + " below max, W=" +
@@ -477,9 +487,7 @@ TEST(SweepKernelFuzz, TinyHorizonManyWindows)
     MbAvfOptions opt;
     opt.horizon = 5;
     opt.numWindows = 8;
-    MbAvfOptions ref_opt = opt;
-    ref_opt.referenceKernel = true;
-    expectIdentical(sweepModes(array, store, *scheme, ref_opt, 8),
+    expectIdentical(referenceSweep(array, store, *scheme, opt, 8),
                     sweepModes(array, store, *scheme, opt, 8),
                     "tiny horizon");
 }
