@@ -8,19 +8,23 @@
  * attribution: computeMbAvf() never reads segment tags, so a tagged
  * store must sweep at the same speed as the identical store with
  * the tags stripped. This harness measures exactly that "disabled
- * cost", plus the price of the attribution sweep itself, per
- * workload on the VGPR array:
+ * cost", plus the price of attribution itself, per workload on the
+ * VGPR array:
  *
- *   sweep ms   computeMbAvf on the instrumented (tagged) store
- *   strip ms   computeMbAvf on a rebuilt copy with tags stripped
- *   attr ms    attributeMbAvf on the tagged store
+ *   sweep ms   computeMbAvf, the per-group reference sweep, on the
+ *              instrumented (tagged) store
+ *   strip ms   the same on a rebuilt copy with tags stripped
+ *   attr ms    attributeMbAvf on the tagged store: the store's
+ *              flatten plus the bit-sliced kernel with its per-tag
+ *              sink
  *   disabled   sweep / strip — overhead of carrying unused tags
- *   attr x     attr / sweep — attribution over plain-sweep cost
+ *   attr x     attr / sweep — attribution over reference-sweep cost
  *
- * Every attribution result is conservation-checked against its
- * plain sweep (exact integer cycle sums per outcome class), and the
- * tagged and stripped sweeps must be bit-identical — the tag column
- * may never change a result, only annotate it.
+ * Every attribution result is conservation-checked against the
+ * reference sweep (exact integer cycle sums per outcome class, from
+ * two engines), and the tagged and stripped sweeps must be
+ * bit-identical — the tag column may never change a result, only
+ * annotate it.
  *
  *   micro_attribution_overhead [--workloads=a,b] [--scale=N]
  *       [--mode=M] [--repeats=3] [--threads=N]
