@@ -171,7 +171,7 @@ main(int argc, char **argv)
         // change a single bit nor cost measurable sweep time.
         const std::string arena_path =
             "micro_sweep_" + name + ".arena.tmp";
-        streamArenaFromStore(run.l1, arena_path, run.horizon);
+        saveArena(LifetimeArena(run.l1), arena_path, run.horizon);
         std::string error;
         std::optional<LifetimeArena> disk_arena =
             tryLoadArena(arena_path, error);

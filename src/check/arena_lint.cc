@@ -89,8 +89,7 @@ lintArenaLifetimes(const LifetimeArena &arena,
         for (std::uint64_t s = arena.offset(w); s < end; ++s) {
             word.appendUnchecked(
                 {arena.begins()[s], arena.ends()[s], arena.masks()[s].ace,
-                 arena.masks()[s].read,
-                 arena.tags() ? arena.tags()[s] : noInstrTag});
+                 arena.masks()[s].read, arena.tags()[s]});
         }
         lintWordLifetime(word, arena.wordWidth(), opts,
                          wordWhere(arena, w), report);
@@ -203,10 +202,7 @@ lintLifetimeArena(const LifetimeArena &arena,
                                  "arena segment differs from the "
                                  "store (stale snapshot?)");
                 }
-                // Untagged (version-1) arenas have no tag column to
-                // compare; a present column must match the store.
-                if (arena.tags() &&
-                    arena.tags()[slot] != segs[s].tag) {
+                if (arena.tags()[slot] != segs[s].tag) {
                     report.error("arena.stale-tag",
                                  where + " segment " +
                                      std::to_string(s),

@@ -20,8 +20,8 @@
  *                         cannot find (or maps to the wrong slot)
  * - arena.stale-word      arena word absent from the store, or its
  *                         segments differ from the store's
- * - arena.stale-tag       a tagged arena's attribution column
- *                         differs from the store's segment tags
+ * - arena.stale-tag       the arena's attribution column differs
+ *                         from the store's segment tags
  *
  * The structure-only entry point covers the first three codes and
  * needs no store — it is what `mbavf_lint --arena=FILE` runs on an

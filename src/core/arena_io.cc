@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <utility>
 
 #include <fcntl.h>
@@ -23,15 +24,11 @@ namespace
 constexpr char arenaMagic[8] = {'M', 'B', 'A', 'V', 'F', 'A',
                                 'R', '1'};
 /**
- * Version history:
- *  1 — original three segment columns (begin / end / masks).
- *  2 — appends a per-segment InstrTag attribution column after the
- *      handle table; all version-1 sections keep their offsets.
- * Writers emit version 2; the loader accepts both, leaving the tag
- * column null for version-1 files (an "untagged" arena).
+ * Version 2 appended the per-segment InstrTag attribution column
+ * after the handle table. Version-1 files, which lack it, are
+ * rejected like any other unknown version.
  */
 constexpr std::uint32_t arenaVersion = 2;
-constexpr std::uint32_t arenaVersionUntagged = 1;
 constexpr std::uint32_t nativeByteOrder = 0x01020304u;
 
 /** Same untrusted-input cap as the lifetime store format. */
@@ -74,7 +71,7 @@ struct Layout
     std::uint64_t wordOffset, wordCount, wordContainer, wordIndex;
     std::uint64_t containerIds, containerBase;
     std::uint64_t handles;
-    std::uint64_t segTag; ///< version >= 2 only
+    std::uint64_t segTag;
     std::uint64_t total;
 };
 
@@ -102,9 +99,7 @@ computeLayout(const FileHeader &h)
     l.containerIds = section(h.numContainers, sizeof(std::uint64_t));
     l.containerBase = section(h.numContainers, sizeof(std::uint32_t));
     l.handles = section(h.numHandles, sizeof(std::uint32_t));
-    l.segTag = h.version >= 2
-                   ? section(h.numSegments, sizeof(InstrTag))
-                   : 0;
+    l.segTag = section(h.numSegments, sizeof(InstrTag));
     l.total = off;
     return l;
 }
@@ -146,16 +141,6 @@ sortedContainers(
     return sorted;
 }
 
-void
-renameInto(const std::string &tmp, const std::string &path)
-{
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        fatal("arena file: cannot rename '", tmp, "' to '", path,
-              "'");
-    }
-}
-
 } // namespace
 
 /**
@@ -171,6 +156,12 @@ class ArenaIo
     {
         if (a.numSegments_ >= 0xffffffffull)
             fatal("arena file: segment count overflows the format");
+        for (std::uint32_t w = 0; w < a.numWords_; ++w) {
+            if (a.wordIndex_[w] >= a.wordsPerContainer_)
+                fatal("arena file: word ", w, " at index ",
+                      a.wordIndex_[w], " lies outside its ",
+                      a.wordsPerContainer_, "-word container");
+        }
         FileHeader h{};
         std::memcpy(h.magic, arenaMagic, sizeof(h.magic));
         h.version = arenaVersion;
@@ -224,22 +215,16 @@ class ArenaIo
                 sizeof(std::uint32_t));
         section(l.handles, a.handles_, h.numHandles,
                 sizeof(std::uint32_t));
-        if (a.segTag_) {
-            section(l.segTag, a.segTag_, h.numSegments,
-                    sizeof(InstrTag));
-        } else {
-            // Re-saving an untagged (version-1) arena: the format
-            // always carries the column, so fill it with noInstrTag.
-            const std::vector<InstrTag> none(h.numSegments,
-                                             noInstrTag);
-            section(l.segTag, none.data(), h.numSegments,
-                    sizeof(InstrTag));
-        }
+        section(l.segTag, a.segTag_, h.numSegments, sizeof(InstrTag));
         sink.os.flush();
         if (!sink.os || sink.pos != l.total)
             fatal("arena file: write to '", tmp, "' failed");
         sink.os.close();
-        renameInto(tmp, path);
+        if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+            std::remove(tmp.c_str());
+            fatal("arena file: cannot rename '", tmp, "' to '", path,
+                  "'");
+        }
     }
 
     static std::optional<LifetimeArena>
@@ -312,8 +297,7 @@ class ArenaIo
             error = "bad magic";
             return std::nullopt;
         }
-        if (h.version != arenaVersion &&
-            h.version != arenaVersionUntagged) {
+        if (h.version != arenaVersion) {
             error = "unsupported version " +
                     std::to_string(h.version);
             return std::nullopt;
@@ -448,10 +432,7 @@ class ArenaIo
         a.segEnd_ = reinterpret_cast<const Cycle *>(base + l.segEnd);
         a.segMasks_ =
             reinterpret_cast<const SegMasks *>(base + l.segMasks);
-        a.segTag_ = h.version >= 2
-                        ? reinterpret_cast<const InstrTag *>(
-                              base + l.segTag)
-                        : nullptr;
+        a.segTag_ = reinterpret_cast<const InstrTag *>(base + l.segTag);
         a.wordOffset_ = word_offset;
         a.wordCount_ = word_count;
         a.wordContainer_ = reinterpret_cast<const std::uint64_t *>(
@@ -483,213 +464,11 @@ tryLoadArena(const std::string &path, std::string &error,
     return ArenaIo::tryLoad(path, error, horizon);
 }
 
-LifetimeArena
-loadArena(const std::string &path, Cycle *horizon)
-{
-    std::string error;
-    std::optional<LifetimeArena> arena =
-        tryLoadArena(path, error, horizon);
-    if (!arena)
-        fatal("arena file '", path, "': ", error);
-    return std::move(*arena);
-}
-
-ArenaStreamWriter::ArenaStreamWriter(std::string path,
-                                     unsigned word_width,
-                                     unsigned words_per_container,
-                                     Cycle horizon)
-    : path_(std::move(path)), wordWidth_(word_width),
-      wordsPerContainer_(words_per_container), horizon_(horizon)
-{
-    static const char *const suffix[4] = {".segb.tmp", ".sege.tmp",
-                                          ".segm.tmp", ".segt.tmp"};
-    for (int i = 0; i < 4; ++i) {
-        spill_[i].open(path_ + suffix[i],
-                       std::ios::binary | std::ios::trunc);
-        if (!spill_[i])
-            fatal("cannot open '", path_ + suffix[i],
-                  "' for writing");
-    }
-}
-
-ArenaStreamWriter::~ArenaStreamWriter()
-{
-    if (finished_)
-        return;
-    // Abandoned mid-stream: drop the spill files (and any partial
-    // final image); the destination is untouched.
-    for (const char *s :
-         {".segb.tmp", ".sege.tmp", ".segm.tmp", ".segt.tmp"}) {
-        std::remove((path_ + s).c_str());
-    }
-    std::remove((path_ + ".tmp").c_str());
-}
-
-void
-ArenaStreamWriter::beginContainer(std::uint64_t id)
-{
-    if (haveContainer_ && id <= lastContainer_)
-        fatal("arena stream: container ids must strictly ascend");
-    if (handles_.size() + wordsPerContainer_ > 0xffffffffull)
-        fatal("arena stream: handle table overflow");
-    base_ = static_cast<std::uint32_t>(handles_.size());
-    handles_.insert(handles_.end(), wordsPerContainer_,
-                    LifetimeArena::noWord);
-    containerIds_.push_back(id);
-    containerBase_.push_back(base_);
-    lastContainer_ = id;
-    haveContainer_ = true;
-    nextIndex_ = 0;
-}
-
-void
-ArenaStreamWriter::addWord(unsigned index,
-                           const LifeSegment *segments,
-                           std::size_t num_segments)
-{
-    if (num_segments == 0)
-        return;
-    if (!haveContainer_)
-        fatal("arena stream: addWord before beginContainer");
-    if (index >= wordsPerContainer_)
-        fatal("arena stream: word index ", index,
-              " outside the container (malformed stores must use "
-              "the in-memory snapshot)");
-    if (index < nextIndex_)
-        fatal("arena stream: word indices must strictly ascend");
-    nextIndex_ = index + 1;
-    if (wordOffset_.size() + 1 >= LifetimeArena::noWord)
-        fatal("lifetime arena overflow: ", wordOffset_.size() + 1,
-              " words");
-    if (satAdd(numSegments_, num_segments) >= 0xffffffffull)
-        fatal("arena stream: segment count overflows the format");
-
-    handles_[base_ + index] =
-        static_cast<std::uint32_t>(wordOffset_.size());
-    wordOffset_.push_back(static_cast<std::uint32_t>(numSegments_));
-    wordCount_.push_back(static_cast<std::uint32_t>(num_segments));
-    wordContainer_.push_back(lastContainer_);
-    wordIndex_.push_back(index);
-    for (std::size_t s = 0; s < num_segments; ++s) {
-        const LifeSegment &seg = segments[s];
-        const SegMasks masks{seg.aceMask, seg.readMask};
-        spill_[0].write(reinterpret_cast<const char *>(&seg.begin),
-                        sizeof(seg.begin));
-        spill_[1].write(reinterpret_cast<const char *>(&seg.end),
-                        sizeof(seg.end));
-        spill_[2].write(reinterpret_cast<const char *>(&masks),
-                        sizeof(masks));
-        spill_[3].write(reinterpret_cast<const char *>(&seg.tag),
-                        sizeof(seg.tag));
-    }
-    numSegments_ += num_segments;
-}
-
-void
-ArenaStreamWriter::finish()
-{
-    if (finished_)
-        fatal("arena stream: finish() called twice");
-    static const char *const suffix[4] = {".segb.tmp", ".sege.tmp",
-                                          ".segm.tmp", ".segt.tmp"};
-    for (int i = 0; i < 4; ++i) {
-        spill_[i].flush();
-        if (!spill_[i])
-            fatal("arena stream: spill write to '",
-                  path_ + suffix[i], "' failed");
-        spill_[i].close();
-    }
-
-    FileHeader h{};
-    std::memcpy(h.magic, arenaMagic, sizeof(h.magic));
-    h.version = arenaVersion;
-    h.byteOrder = nativeByteOrder;
-    h.wordWidth = wordWidth_;
-    h.wordsPerContainer = wordsPerContainer_;
-    h.numWords = wordOffset_.size();
-    h.numSegments = numSegments_;
-    h.numContainers = containerIds_.size();
-    h.numHandles = handles_.size();
-    h.horizon = horizon_;
-    const Layout l = computeLayout(h);
-    h.fileSize = l.total;
-
-    const std::string tmp = path_ + ".tmp";
-    FileSink sink;
-    sink.os.open(tmp, std::ios::binary | std::ios::trunc);
-    if (!sink.os)
-        fatal("cannot open '", tmp, "' for writing");
-    sink.raw(&h, sizeof(h));
-    auto spill_section = [&](std::uint64_t at, int which) {
-        sink.padTo(at);
-        std::ifstream is(path_ + suffix[which], std::ios::binary);
-        if (!is)
-            fatal("arena stream: cannot reopen spill '",
-                  path_ + suffix[which], "'");
-        std::vector<char> buf(1u << 20);
-        while (is) {
-            is.read(buf.data(),
-                    static_cast<std::streamsize>(buf.size()));
-            if (is.gcount() > 0)
-                sink.raw(buf.data(),
-                         static_cast<std::uint64_t>(is.gcount()));
-        }
-    };
-    auto section = [&](std::uint64_t at, const void *p,
-                       std::uint64_t bytes) {
-        sink.padTo(at);
-        sink.raw(p, bytes);
-    };
-    spill_section(l.segBegin, 0);
-    spill_section(l.segEnd, 1);
-    spill_section(l.segMasks, 2);
-    section(l.wordOffset, wordOffset_.data(),
-            h.numWords * sizeof(std::uint32_t));
-    section(l.wordCount, wordCount_.data(),
-            h.numWords * sizeof(std::uint32_t));
-    section(l.wordContainer, wordContainer_.data(),
-            h.numWords * sizeof(std::uint64_t));
-    section(l.wordIndex, wordIndex_.data(),
-            h.numWords * sizeof(std::uint32_t));
-    section(l.containerIds, containerIds_.data(),
-            h.numContainers * sizeof(std::uint64_t));
-    section(l.containerBase, containerBase_.data(),
-            h.numContainers * sizeof(std::uint32_t));
-    section(l.handles, handles_.data(),
-            h.numHandles * sizeof(std::uint32_t));
-    spill_section(l.segTag, 3);
-    sink.os.flush();
-    if (!sink.os || sink.pos != l.total)
-        fatal("arena stream: write to '", tmp, "' failed");
-    sink.os.close();
-    for (int i = 0; i < 4; ++i)
-        std::remove((path_ + suffix[i]).c_str());
-    renameInto(tmp, path_);
-    finished_ = true;
-}
-
 void
 streamArenaFromStore(const LifetimeStore &store,
                      const std::string &path, Cycle horizon)
 {
-    ArenaStreamWriter writer(path, store.wordWidth(),
-                             store.wordsPerContainer(), horizon);
-    std::vector<std::uint64_t> ids;
-    ids.reserve(store.containers().size());
-    for (const auto &[id, container] : store.containers())
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (std::uint64_t id : ids) {
-        const ContainerLifetime &container =
-            store.containers().at(id);
-        writer.beginContainer(id);
-        for (std::size_t w = 0; w < container.words.size(); ++w) {
-            const auto &segments = container.words[w].segments();
-            writer.addWord(static_cast<unsigned>(w),
-                           segments.data(), segments.size());
-        }
-    }
-    writer.finish();
+    saveArena(LifetimeArena(store), path, horizon);
 }
 
 } // namespace mbavf

@@ -8,10 +8,10 @@
  * under many schemes and layouts pays it on every run. saveArena()
  * writes the arena's columns verbatim into a versioned, 64-byte
  * aligned, little-endian file (format: DESIGN.md Section 13) and
- * loadArena() maps it back read-only — the loaded arena aliases the
+ * tryLoadArena() maps it back read-only — the loaded arena aliases the
  * mapping, so load time and memory are O(1) in the segment count and
  * a mapped arena is indistinguishable from a built one to the sweep
- * kernels (bit-identical results at any thread count).
+ * kernel (bit-identical results at any thread count).
  *
  * Writes are atomic: the image is assembled at <path>.tmp and
  * renamed over the destination, so readers never observe a torn
@@ -22,25 +22,16 @@
  * ordering, arena-vs-store staleness — remain the job of
  * `mbavf_lint --arena`.
  *
- * ArenaStreamWriter produces the identical bytes without ever
- * holding the segment columns in memory, for stores too large to
- * snapshot: segments stream through temporary spill files and only
- * the per-word and per-container tables stay resident.
- *
- * Format version 2 appends a per-segment InstrTag attribution column
- * after the handle table; version-1 files still load, yielding an
- * untagged arena (LifetimeArena::tags() == nullptr). All version-1
- * section offsets are unchanged.
+ * The format is at version 2, whose last section is the per-segment
+ * InstrTag attribution column; a file of any other version is
+ * rejected.
  */
 
 #ifndef MBAVF_CORE_ARENA_IO_HH
 #define MBAVF_CORE_ARENA_IO_HH
 
-#include <cstdint>
-#include <fstream>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "core/lifetime.hh"
@@ -52,7 +43,9 @@ namespace mbavf
 /**
  * Write @p arena to @p path atomically. @p horizon records the
  * measurement horizon the producer was configured with (0 = none);
- * consumers may use it as their default sweep horizon.
+ * consumers may use it as their default sweep horizon. Fatal, before
+ * anything is written, on a word at index >= wordsPerContainer() (the
+ * snapshot of a malformed store), which tryLoadArena() would reject.
  */
 void saveArena(const LifetimeArena &arena, const std::string &path,
                Cycle horizon = 0);
@@ -71,77 +64,10 @@ std::optional<LifetimeArena> tryLoadArena(const std::string &path,
                                           std::string &error,
                                           Cycle *horizon = nullptr);
 
-/** Loading convenience for trusting callers; fatal on any problem. */
-LifetimeArena loadArena(const std::string &path,
-                        Cycle *horizon = nullptr);
-
 /**
- * Streaming writer producing byte-identical output to
- * saveArena(LifetimeArena(store), path, horizon) while keeping only
- * O(words) state in memory: segment columns spill to three
- * temporary files next to @p path and are concatenated on finish().
- *
- * Feed containers in strictly ascending id order and words in
- * strictly ascending index order within each container; empty words
- * are simply not added. The writer enforces the well-formed-store
- * shape (word index < wordsPerContainer) and is fatal on violations
- * — malformed stores must go through the in-memory snapshot path.
- */
-class ArenaStreamWriter
-{
-  public:
-    ArenaStreamWriter(std::string path, unsigned word_width,
-                      unsigned words_per_container, Cycle horizon);
-
-    /** Not copyable: owns spill files keyed to the target path. */
-    ArenaStreamWriter(const ArenaStreamWriter &) = delete;
-    ArenaStreamWriter &operator=(const ArenaStreamWriter &) = delete;
-
-    ~ArenaStreamWriter();
-
-    /** Open container @p id; ids must strictly ascend. */
-    void beginContainer(std::uint64_t id);
-
-    /**
-     * Add the non-empty word @p index of the open container with
-     * @p num_segments segments; indices must strictly ascend within
-     * the container. Adding zero segments is a no-op (the word stays
-     * empty, handle noWord).
-     */
-    void addWord(unsigned index, const LifeSegment *segments,
-                 std::size_t num_segments);
-
-    /** Assemble the final file and rename it into place. */
-    void finish();
-
-  private:
-    std::string path_;
-    unsigned wordWidth_;
-    unsigned wordsPerContainer_;
-    Cycle horizon_;
-    bool finished_ = false;
-
-    std::ofstream spill_[4]; ///< segment begin/end/masks/tag columns
-    std::uint64_t numSegments_ = 0;
-
-    bool haveContainer_ = false;
-    std::uint64_t lastContainer_ = 0;
-    std::uint32_t base_ = 0;   ///< open container's handle base
-    std::uint32_t nextIndex_ = 0;
-
-    std::vector<std::uint32_t> wordOffset_;
-    std::vector<std::uint32_t> wordCount_;
-    std::vector<std::uint64_t> wordContainer_;
-    std::vector<std::uint32_t> wordIndex_;
-    std::vector<std::uint64_t> containerIds_;
-    std::vector<std::uint32_t> containerBase_;
-    std::vector<std::uint32_t> handles_;
-};
-
-/**
- * Stream @p store straight to an arena file without materializing
- * the arena. Byte-identical to saveArena(LifetimeArena(store), ...);
- * fatal if the store is malformed (see ArenaStreamWriter).
+ * saveArena(LifetimeArena(store), path, horizon). Only the perfbench
+ * harness (perfbench/harness/trace_harness.cc) still calls it; it
+ * goes when the harness moves from LifetimeStore onto arenas.
  */
 void streamArenaFromStore(const LifetimeStore &store,
                           const std::string &path, Cycle horizon = 0);

@@ -134,14 +134,11 @@ class LifetimeArena
     const SegMasks *masks() const { return segMasks_; }
 
     /**
-     * Per-segment producing-instruction column, or nullptr for an
-     * untagged arena (one loaded from a version-1 file). Attribution
-     * is the only consumer; the sweep kernels never read it.
+     * Per-segment producing-instruction column (noInstrTag where no
+     * tracked write produced the value). Attribution's sink and the
+     * arena lint read it; the plain sweep never does.
      */
     const InstrTag *tags() const { return segTag_; }
-
-    /** True when the per-segment attribution column is present. */
-    bool tagged() const { return segTag_ != nullptr; }
 
     /** Source container id of word @p w (lint / diagnostics). */
     std::uint64_t wordContainer(std::uint32_t w) const

@@ -137,8 +137,7 @@ using TagCycles = std::unordered_map<InstrTag, std::array<Cycle, 3>>;
  * every failing group of mode (max_mode)x1 is also charged, for each
  * cycle, to the segment tag of its first member in column order
  * that shows the group's class, and *charges receives the per-tag
- * sums (all under noInstrTag when @p arena is untagged). Without it
- * the sweep does no charge work at all.
+ * sums. Without it the sweep does no charge work at all.
  */
 std::vector<MbAvfResult> computeMbAvfModes(const PhysicalArray &array,
                                            const LifetimeArena &arena,

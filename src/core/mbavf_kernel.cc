@@ -606,7 +606,7 @@ class BitSlicedSweeper
             if constexpr (Charge) {
                 // The word's tag changes here, and only here.
                 WordCharge &w = wordCharges_[cur.wg - wordGroups_.data()];
-                const InstrTag tag = segTag_ ? segTag_[cur.s] : noInstrTag;
+                const InstrTag tag = segTag_[cur.s];
                 if (tag != w.tag) {
                     w.flush(now_, out_.tags);
                     w.tag = tag;

@@ -49,10 +49,11 @@ ModeSweep sweepModes(const PhysicalArray &array,
 
 /**
  * Sweep a pre-built arena — the entry point for arenas mapped from
- * disk (core/arena_io.hh), which have no backing store to flatten.
- * Always runs the single-pass multi-mode kernel; results are
- * bit-identical to sweepModes() on the store the arena was built
- * from, at any thread count.
+ * disk (core/arena_io.hh), which have no backing store to flatten,
+ * and for the snapshot an --arena-out run saved. Always runs the
+ * single-pass multi-mode kernel; results are bit-identical to
+ * sweepModes() on the store the arena was built from, at any thread
+ * count.
  */
 ModeSweep sweepModesArena(const PhysicalArray &array,
                           const LifetimeArena &arena,

@@ -5,6 +5,7 @@
 #include "common/rng.hh"
 #include "core/arena_io.hh"
 #include "core/fault_rates.hh"
+#include "obs/phase.hh"
 #include "workloads/ace_runner.hh"
 
 namespace mbavf
@@ -21,7 +22,10 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
                     "provides none";
             return false;
         }
-        out.arena = tryLoadArena(job.arenaIn, error, &out.horizon);
+        {
+            obs::ObsPhase phase("arena.load");
+            out.arena = tryLoadArena(job.arenaIn, error, &out.horizon);
+        }
         if (!out.arena) {
             error = "cannot load arena '" + job.arenaIn + "': " + error;
             return false;
@@ -60,9 +64,11 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
     }
 
     if (!arena_out.empty()) {
-        // Stream straight from the store: byte-identical to the
-        // in-memory snapshot path without holding both copies.
-        streamArenaFromStore(out.store, arena_out, out.horizon);
+        // Flatten once: runSweep() reads this snapshot instead of
+        // flattening the store again.
+        obs::ObsPhase phase("arena.write");
+        out.arena.emplace(out.store);
+        saveArena(*out.arena, arena_out, out.horizon);
     }
     return true;
 }

@@ -42,7 +42,11 @@ struct Lifetimes
     Cycle horizon = 0;
     /** The workload run's store; empty when read from an arena. */
     LifetimeStore store{8, 64};
-    /** The mapped job.arenaIn file, when the job names one. */
+    /**
+     * The arena the sweep reads: the mapped job.arenaIn file, or the
+     * snapshot of store saved to --arena-out. Empty otherwise, and
+     * then the sweep flattens store itself.
+     */
     std::optional<LifetimeArena> arena;
     /** Cache statistics of the workload run (zero for arenas). */
     CacheStats l1Stats;
@@ -52,10 +56,11 @@ struct Lifetimes
 /**
  * Read @p job's lifetimes: map job.arenaIn, or run job.workload with
  * the ACE probes and build job.structure's store only. A non-empty
- * @p arena_out streams the store to that arena file
- * (core/arena_io.hh); @p capture, when non-null, receives the run's
- * program capture. False + @p error on an unusable arena file, or
- * when the lifetime word width does not match the structure.
+ * @p arena_out flattens the store once into out.arena and saves that
+ * snapshot to the arena file (core/arena_io.hh); @p capture, when
+ * non-null, receives the run's program capture. False + @p error on
+ * an unusable arena file, or when the lifetime word width does not
+ * match the structure.
  */
 bool readLifetimes(const JobConfig &job, const std::string &arena_out,
                    Lifetimes &out, std::string &error,

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the persistent arena format (core/arena_io.hh): exact
- * round trips, streamed-vs-snapshot byte identity, sweep bit-identity
- * off a mapped file at multiple thread counts, and strict loader
- * rejection of truncated or header-corrupted files.
+ * round trips, sweep bit-identity off a mapped file at multiple
+ * thread counts, strict loader rejection of truncated, corrupted or
+ * version-1 files, and a writer that refuses what the loader would
+ * reject.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include <optional>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/rng.hh"
 #include "core/arena_io.hh"
@@ -104,11 +107,7 @@ expectArenasEqual(const LifetimeArena &a, const LifetimeArena &b)
         EXPECT_EQ(a.ends()[s], b.ends()[s]);
         EXPECT_EQ(a.masks()[s].ace, b.masks()[s].ace);
         EXPECT_EQ(a.masks()[s].read, b.masks()[s].read);
-    }
-    ASSERT_EQ(a.tagged(), b.tagged());
-    if (a.tagged()) {
-        for (std::size_t s = 0; s < a.numSegments(); ++s)
-            EXPECT_EQ(a.tags()[s], b.tags()[s]);
+        EXPECT_EQ(a.tags()[s], b.tags()[s]);
     }
 }
 
@@ -183,16 +182,14 @@ TEST(ArenaIo, RoundTripPreservesEveryColumn)
     std::remove(path.c_str());
 }
 
-TEST(ArenaIo, UntaggedVersion1FileStillLoads)
+TEST(ArenaIo, Version1FileIsRejected)
 {
-    // Readers must keep accepting pre-tag (version 1) arenas: strip
-    // the trailing tag column off a fresh file, rewind the header's
-    // version and size fields, and every other column must load
-    // bit-identically — just with tagged() == false.
+    // A pre-tag (version 1) arena: strip the trailing tag column off
+    // a fresh file and rewind the header's version and size fields.
+    // Only version 2 loads, so the file is rejected whole.
     LifetimeStore store = randomStore(9);
-    LifetimeArena built(store);
     const std::string path = tempPath("v1.bin");
-    saveArena(built, path, 777);
+    saveArena(LifetimeArena(store), path, 777);
     std::string bytes = readFile(path);
     std::remove(path.c_str());
 
@@ -225,34 +222,28 @@ TEST(ArenaIo, UntaggedVersion1FileStillLoads)
     const std::string v1_path = tempPath("v1_cut.bin");
     writeFile(v1_path, bytes);
     std::string error;
-    Cycle horizon = 0;
-    std::optional<LifetimeArena> loaded =
-        tryLoadArena(v1_path, error, &horizon);
+    std::optional<LifetimeArena> loaded = tryLoadArena(v1_path, error);
     std::remove(v1_path.c_str());
-    ASSERT_TRUE(loaded.has_value()) << error;
-    EXPECT_EQ(horizon, 777u);
-    EXPECT_FALSE(loaded->tagged());
-    EXPECT_EQ(loaded->tags(), nullptr);
-    ASSERT_EQ(loaded->numSegments(), built.numSegments());
-    for (std::size_t s = 0; s < built.numSegments(); ++s) {
-        EXPECT_EQ(loaded->begins()[s], built.begins()[s]);
-        EXPECT_EQ(loaded->ends()[s], built.ends()[s]);
-        EXPECT_EQ(loaded->masks()[s].ace, built.masks()[s].ace);
-        EXPECT_EQ(loaded->masks()[s].read, built.masks()[s].read);
-    }
+    EXPECT_FALSE(loaded.has_value());
+    EXPECT_EQ(error, "unsupported version 1");
 }
 
-TEST(ArenaIo, StreamedFileIsByteIdenticalToSnapshot)
+TEST(ArenaIoDeathTest, SaveRefusesAWordOutsideItsContainer)
 {
-    LifetimeStore store = randomStore(21);
-    const std::string direct = tempPath("direct.bin");
-    const std::string streamed = tempPath("streamed.bin");
-    saveArena(LifetimeArena(store), direct, 99);
-    streamArenaFromStore(store, streamed, 99);
-
-    EXPECT_EQ(readFile(direct), readFile(streamed));
-    std::remove(direct.c_str());
-    std::remove(streamed.c_str());
+    // A malformed store: container 0 holds a non-empty word at index
+    // wordsPerContainer. Its snapshot keeps the word, which the
+    // loader would reject, so saving it must be fatal before any
+    // file (or temporary) appears at the path.
+    LifetimeStore store(8, 4);
+    ContainerLifetime &container = store.container(0);
+    container.words.resize(5);
+    container.words[4].append({5, 10, 0x1, 0x1});
+    const std::string path = tempPath("outside.bin");
+    std::remove(path.c_str());
+    EXPECT_EXIT(saveArena(LifetimeArena(store), path, 40),
+                ::testing::ExitedWithCode(1), "outside its");
+    EXPECT_NE(::access(path.c_str(), F_OK), 0);
+    EXPECT_NE(::access((path + ".tmp").c_str(), F_OK), 0);
 }
 
 TEST(ArenaIo, MappedSweepIsBitIdenticalAtAnyThreadCount)
@@ -267,7 +258,7 @@ TEST(ArenaIo, MappedSweepIsBitIdenticalAtAnyThreadCount)
     ModeSweep direct = sweepModes(array, store, parity, opt, 6);
 
     const std::string path = tempPath("sweep.bin");
-    streamArenaFromStore(store, path, opt.horizon);
+    saveArena(LifetimeArena(store), path, opt.horizon);
     std::string error;
     std::optional<LifetimeArena> loaded = tryLoadArena(path, error);
     ASSERT_TRUE(loaded.has_value()) << error;

@@ -397,7 +397,7 @@ runSweepCli(const Args &args, const JobConfig &job)
     if (!readLifetimes(job, arena_out, lifetimes, error))
         fatal(error);
     const Cycle horizon = lifetimes.horizon;
-    if (lifetimes.arena) {
+    if (!job.arenaIn.empty()) {
         std::cout << "mapped arena from " << job.arenaIn << " ("
                   << lifetimes.arena->numWords() << " word(s), "
                   << lifetimes.arena->numSegments()
