@@ -16,9 +16,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -28,23 +25,16 @@ namespace
 /**
  * P(partner ACE | bit ACE) for pairs defined by a layout's 2x1
  * groups: computed as 2*P(both) / (P(a)+P(b)) aggregated over the
- * array, derived from engine results:
+ * array, derived from an unprotected sweep:
  *   union = P(a or b) = MB-AVF of the 2x1 group (no protection)
  *   sum   = P(a) + P(b) = 2 * SB-AVF
  *   both  = sum - union; locality = both / sum.
  */
 double
-locality(const PhysicalArray &array, const LifetimeStore &life,
-         Cycle horizon)
+locality(const ModeSweep &none)
 {
-    NoProtection none;
-    MbAvfOptions opt;
-    opt.horizon = horizon;
-    double sb = computeSbAvf(array, life, none, opt).avf.sdc;
-    double mb = computeMbAvf(array, life, none, FaultMode::mx1(2), opt)
-                    .avf.sdc;
-    double sum = 2 * sb;
-    double both = sum - mb;
+    double sum = 2 * none.avf(1).sdc;
+    double both = sum - none.avf(2).sdc;
     return sum > 0 ? both / sum : 0.0;
 }
 
@@ -55,9 +45,10 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("ablation_ace_locality", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.modes = 2;
 
     std::cout << "Ablation: ACE locality vs 2x1 MB-AVF (L1, "
                  "parity)\n\n";
@@ -67,36 +58,27 @@ main(int argc, char **argv)
                  "mb/sb index"});
     RunningStats corr_ok;
 
-    ParityScheme parity;
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
-
-        auto log = makeCacheArray(geom, CacheInterleave::Logical, 2);
-        auto way =
-            makeCacheArray(geom, CacheInterleave::WayPhysical, 2);
-        auto idx =
-            makeCacheArray(geom, CacheInterleave::IndexPhysical, 2);
-
-        double loc_line = locality(*log, run.l1, run.horizon);
-        double loc_way = locality(*way, run.l1, run.horizon);
-        double loc_idx = locality(*idx, run.l1, run.horizon);
-
-        auto ratio = [&](const PhysicalArray &a) {
-            double sb = computeSbAvf(a, run.l1, parity, opt).avf.due();
-            double mb = computeMbAvf(a, run.l1, parity,
-                                     FaultMode::mx1(2), opt)
-                            .avf.due();
-            return sb > 0 ? mb / sb : 0.0;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
+        auto sweep = [&](const char *scheme, const char *style) {
+            job.scheme = scheme;
+            job.style = style;
+            return runSweep(job, makeDesign(job, life.horizon), life)
+                .sweep;
         };
-        double r_log = ratio(*log);
-        double r_way = ratio(*way);
-        double r_idx = ratio(*idx);
+        auto ratio = [](const ModeSweep &parity) {
+            double sb = parity.avf(1).due();
+            return sb > 0 ? parity.avf(2).due() / sb : 0.0;
+        };
+
+        double loc_line = locality(sweep("none", "logical"));
+        double loc_way = locality(sweep("none", "way"));
+        double loc_idx = locality(sweep("none", "index"));
+        double r_log = ratio(sweep("parity", "logical"));
+        double r_way = ratio(sweep("parity", "way"));
+        double r_idx = ratio(sweep("parity", "index"));
 
         // The claimed relationship: locality ordering is the inverse
         // of the MB-AVF ordering.

@@ -15,9 +15,6 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -26,9 +23,10 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("ablation_fault_geometry", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.style = "way";
 
     std::cout << "Ablation: fault geometry at constant size (4 bits), "
                  "L1, x2 way-physical\n\n";
@@ -48,27 +46,21 @@ main(int argc, char **argv)
     }
     Table table(header);
 
-    ParityScheme parity;
-    SecDedScheme secded;
-
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        auto array =
-            makeCacheArray(geom, CacheInterleave::WayPhysical, 2);
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
 
-        for (const ProtectionScheme *scheme :
-             {static_cast<const ProtectionScheme *>(&parity),
-              static_cast<const ProtectionScheme *>(&secded)}) {
-            table.beginRow().cell(name).cell(scheme->name());
+        // The sweep kernel walks Mx1 modes only: each shape goes
+        // through the per-group reference engine.
+        for (const char *scheme : {"parity", "secded"}) {
+            job.scheme = scheme;
+            const Design design = makeDesign(job, life.horizon);
+            table.beginRow().cell(name).cell(design.scheme->name());
             for (const FaultMode &m : modes) {
                 MbAvfResult r =
-                    computeMbAvf(*array, run.l1, *scheme, m, opt);
+                    computeMbAvf(*design.array, life.store,
+                                 *design.scheme, m, design.options);
                 table.cell(r.avf.sdc, 4).cell(r.avf.due(), 4);
             }
         }

@@ -9,12 +9,18 @@
  * manifest for mbavf_report to diff and merge.
  * Common flags: --workloads=a,b,c  --scale=N  --quick  --threads=N
  * --manifest=FILE (override the path)  --no-manifest.
+ *
+ * A harness describes each design it measures as a JobConfig and
+ * runs it through the tools' pipeline (pipeline/pipeline.hh):
+ * jobLifetimes() once per workload and structure, then one
+ * runSweep(job, makeDesign(job, horizon), lifetimes) per design.
  */
 
 #ifndef MBAVF_BENCH_BENCH_UTIL_HH
 #define MBAVF_BENCH_BENCH_UTIL_HH
 
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +33,7 @@
 #include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
+#include "pipeline/pipeline.hh"
 #include "workloads/workload.hh"
 
 namespace mbavf
@@ -58,18 +65,44 @@ selectedWorkloads(const Args &args)
 }
 
 /**
- * Apply --threads=N (0 = all hardware threads) to the shared pool
- * and return the value for MbAvfOptions::numThreads. Unset keeps the
- * pool at its MBAVF_THREADS / hardware default and returns 0 (use
- * the pool); results are bit-identical at any setting.
+ * Integer flag @p key in [@p min, @p max]; a value outside is fatal
+ * before anything simulates.
  */
 inline unsigned
+unsignedFlag(const Args &args, const std::string &key,
+             unsigned fallback, unsigned min = 0,
+             unsigned max = std::numeric_limits<unsigned>::max())
+{
+    return static_cast<unsigned>(
+        args.getIntInRange(key, fallback, min, max));
+}
+
+/**
+ * Apply --threads=N (0 = all hardware threads) to the shared pool.
+ * Unset keeps the pool at its MBAVF_THREADS / hardware default;
+ * results are bit-identical at any setting.
+ */
+inline void
 configureThreads(const Args &args)
 {
-    unsigned n = static_cast<unsigned>(args.getInt("threads", 0));
     if (args.has("threads"))
-        setParallelThreads(n);
-    return n;
+        setParallelThreads(unsignedFlag(args, "threads", 0));
+}
+
+/**
+ * The lifetimes of @p job's structure (readLifetimes); fatal when
+ * validateJob() rejects the job or the lifetimes cannot be read.
+ */
+inline Lifetimes
+jobLifetimes(const JobConfig &job)
+{
+    std::string error;
+    Lifetimes lifetimes;
+    if (!validateJob(job, error) ||
+        !readLifetimes(job, "", lifetimes, error)) {
+        fatal(error);
+    }
+    return lifetimes;
 }
 
 /** Progress note to stderr (keeps stdout machine-readable). */

@@ -14,9 +14,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -25,50 +22,37 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("ext_l2_avf", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.modes = 2;
 
     std::cout << "Extension: L1 vs L2 DUE AVF (parity, x2)\n\n";
 
     Table table({"workload", "L1 SB", "L1 2x1 way", "L2 SB",
                  "L2 2x1 way", "L2 2x1 logical", "L2/L1 SB"});
     RunningStats ratio_stats;
-    ParityScheme parity;
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{},
-                                    AceStore::L1 | AceStore::L2);
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        job.workload = name;
+        auto sweep = [&](const Lifetimes &life, const char *style) {
+            job.style = style;
+            return runSweep(job, makeDesign(job, life.horizon), life)
+                .sweep;
+        };
+        job.structure = "l1";
+        const ModeSweep l1_way = sweep(jobLifetimes(job), "way");
+        job.structure = "l2";
+        const Lifetimes l2 = jobLifetimes(job);
+        const ModeSweep l2_way = sweep(l2, "way");
+        const ModeSweep l2_log = sweep(l2, "logical");
 
-        CacheGeometry l1_geom{run.config.l1.sets, run.config.l1.ways,
-                              run.config.l1.lineBytes};
-        CacheGeometry l2_geom{run.config.l2.sets, run.config.l2.ways,
-                              run.config.l2.lineBytes};
-
-        auto l1_way =
-            makeCacheArray(l1_geom, CacheInterleave::WayPhysical, 2);
-        auto l2_way =
-            makeCacheArray(l2_geom, CacheInterleave::WayPhysical, 2);
-        auto l2_log =
-            makeCacheArray(l2_geom, CacheInterleave::Logical, 2);
-
-        double l1_sb =
-            computeSbAvf(*l1_way, run.l1, parity, opt).avf.due();
-        double l1_mb = computeMbAvf(*l1_way, run.l1, parity,
-                                    FaultMode::mx1(2), opt)
-                           .avf.due();
-        double l2_sb =
-            computeSbAvf(*l2_way, run.l2, parity, opt).avf.due();
-        double l2_mb_way = computeMbAvf(*l2_way, run.l2, parity,
-                                        FaultMode::mx1(2), opt)
-                               .avf.due();
-        double l2_mb_log = computeMbAvf(*l2_log, run.l2, parity,
-                                        FaultMode::mx1(2), opt)
-                               .avf.due();
+        double l1_sb = l1_way.avf(1).due();
+        double l1_mb = l1_way.avf(2).due();
+        double l2_sb = l2_way.avf(1).due();
+        double l2_mb_way = l2_way.avf(2).due();
+        double l2_mb_log = l2_log.avf(2).due();
 
         double ratio = l1_sb > 0 ? l2_sb / l1_sb : 0.0;
         ratio_stats.add(ratio);

@@ -13,9 +13,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -24,9 +21,12 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig10_false_due", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.style = "way";
+    job.interleave = 4;
+    job.modes = 4;
     const std::vector<unsigned> modes = {1, 2, 4};
 
     std::cout << "Figure 10: true vs false DUE AVF by fault mode, "
@@ -40,30 +40,24 @@ main(int argc, char **argv)
     }
     Table table(header);
 
-    ParityScheme parity;
     RunningStats mean_false_frac;
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        auto array =
-            makeCacheArray(geom, CacheInterleave::WayPhysical, 4);
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
+        const ModeSweep sweep =
+            runSweep(job, makeDesign(job, life.horizon), life).sweep;
 
         table.beginRow().cell(name);
         for (unsigned m : modes) {
-            MbAvfResult r = computeMbAvf(*array, run.l1, parity,
-                                         FaultMode::mx1(m), opt);
-            double frac = r.avf.due() > 0
-                ? 100.0 * r.avf.falseDue / r.avf.due() : 0.0;
+            const AvfFractions &avf = sweep.avf(m);
+            double frac = avf.due() > 0
+                ? 100.0 * avf.falseDue / avf.due() : 0.0;
             if (m == 1)
                 mean_false_frac.add(frac);
-            table.cell(r.avf.trueDue, 4)
-                .cell(r.avf.falseDue, 4)
+            table.cell(avf.trueDue, 4)
+                .cell(avf.falseDue, 4)
                 .cell(frac, 1);
         }
     }

@@ -22,11 +22,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/fault_rates.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "core/ser.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -35,8 +30,8 @@ namespace
 
 struct Config
 {
-    const ProtectionScheme *scheme;
-    RegInterleave style;
+    const char *scheme;
+    const char *style;
     unsigned interleave;
     std::string label;
 };
@@ -68,75 +63,70 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig11_vgpr_case_study", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const unsigned max_mode =
-        static_cast<unsigned>(args.getInt("max-mode", 8));
+    configureThreads(args);
+    JobConfig job;
+    job.structure = "vgpr";
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.modes = unsignedFlag(args, "max-mode", 8, 1, maxTabulatedMode);
 
     std::cout << "Figure 11: VGPR SDC SER by protection and "
                  "interleaving (total raw rate 100 FIT)\n\n";
 
-    ParityScheme parity;
-    SecDedScheme secded;
     const std::vector<Config> configs = {
-        {&parity, RegInterleave::IntraThread, 2, "parity rx2"},
-        {&parity, RegInterleave::IntraThread, 4, "parity rx4"},
-        {&parity, RegInterleave::InterThread, 2, "parity tx2"},
-        {&parity, RegInterleave::InterThread, 4, "parity tx4"},
-        {&secded, RegInterleave::IntraThread, 2, "ECC rx2"},
-        {&secded, RegInterleave::IntraThread, 4, "ECC rx4"},
-        {&secded, RegInterleave::InterThread, 2, "ECC tx2"},
-        {&secded, RegInterleave::InterThread, 4, "ECC tx4"},
+        {"parity", "intra", 2, "parity rx2"},
+        {"parity", "intra", 4, "parity rx4"},
+        {"parity", "inter", 2, "parity tx2"},
+        {"parity", "inter", 4, "parity tx4"},
+        {"secded", "intra", 2, "ECC rx2"},
+        {"secded", "intra", 4, "ECC rx4"},
+        {"secded", "inter", 2, "ECC tx2"},
+        {"secded", "inter", 4, "ECC tx4"},
     };
-    auto fits = caseStudyFaultRates(100.0);
+    auto fits = caseStudyFaultRates(job.totalFit);
 
     std::vector<RunningStats> sdc_mb(configs.size());
     std::vector<RunningStats> sdc_sb(configs.size());
     std::vector<RunningStats> due_mb(configs.size());
+    std::vector<double> area(configs.size());
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{},
-                                    AceStore::Vgpr);
-        MbAvfOptions base;
-        base.horizon = run.horizon;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
 
         // Single-bit ACE fraction (unprotected) for the designer's
         // approximation.
-        NoProtection none;
-        auto plain =
-            makeRegFileArray(run.config.regs,
-                             RegInterleave::IntraThread, 1);
+        JobConfig plain = job;
+        plain.scheme = "none";
+        plain.style = "intra";
+        plain.interleave = 1;
+        plain.modes = 1;
         double sb_ace =
-            computeSbAvf(*plain, run.vgpr, none, base).avf.sdc;
+            runSweep(plain, makeDesign(plain, life.horizon), life)
+                .sweep.avf(1)
+                .sdc;
 
+        // Inter-thread designs get the DUE-shields-SDC rule
+        // (makeDesign).
         for (std::size_t c = 0; c < configs.size(); ++c) {
             const Config &cfg = configs[c];
-            auto array = makeRegFileArray(run.config.regs, cfg.style,
-                                          cfg.interleave);
-            MbAvfOptions opt = base;
-            opt.numThreads = threads;
-            opt.dueShieldsSdc =
-                cfg.style == RegInterleave::InterThread;
+            job.scheme = cfg.scheme;
+            job.style = cfg.style;
+            job.interleave = cfg.interleave;
+            const Design design = makeDesign(job, life.horizon);
+            const SweepResult result = runSweep(job, design, life);
 
-            StructureSer measured{};
             double approx_sdc = 0.0;
-            for (unsigned m = 1; m <= max_mode; ++m) {
-                MbAvfResult r =
-                    computeMbAvf(*array, run.vgpr, *cfg.scheme,
-                                 FaultMode::mx1(m), opt);
-                measured.sdc += fits[m - 1] * r.avf.sdc;
-                measured.trueDue += fits[m - 1] * r.avf.trueDue;
-                measured.falseDue += fits[m - 1] * r.avf.falseDue;
-                if (modeDefeatsProtection(*cfg.scheme, m,
+            for (unsigned m = 1; m <= job.modes; ++m) {
+                if (modeDefeatsProtection(*design.scheme, m,
                                           cfg.interleave)) {
                     approx_sdc += fits[m - 1] * sb_ace;
                 }
             }
-            sdc_mb[c].add(measured.sdc);
+            sdc_mb[c].add(result.ser.sdc);
             sdc_sb[c].add(approx_sdc);
-            due_mb[c].add(measured.due());
+            due_mb[c].add(result.ser.due());
+            area[c] = result.areaOverhead;
         }
     }
 
@@ -148,9 +138,7 @@ main(int argc, char **argv)
             .cell(sdc_mb[c].mean(), 4)
             .cell(sdc_sb[c].mean(), 4)
             .cell(due_mb[c].mean(), 4)
-            .cell(formatFixed(
-                      100.0 * configs[c].scheme->areaOverhead(32), 1) +
-                  "%");
+            .cell(formatFixed(100.0 * area[c], 1) + "%");
     }
     bench.emit(table);
 

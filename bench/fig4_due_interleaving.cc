@@ -13,9 +13,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -24,9 +21,10 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig4_due_interleaving", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.modes = 2;
 
     std::cout << "Figure 4: 2x1 DUE MB-AVF / SB-AVF in the L1, "
                  "parity, x2 interleaving\n\n";
@@ -35,39 +33,31 @@ main(int argc, char **argv)
                  "index-phys"});
     RunningStats g_log, g_way, g_idx;
 
-    ParityScheme parity;
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
 
-        auto ratio = [&](CacheInterleave style) {
-            auto array = makeCacheArray(geom, style, 2);
-            double sb =
-                computeSbAvf(*array, run.l1, parity, opt).avf.due();
-            double mb = computeMbAvf(*array, run.l1, parity,
-                                     FaultMode::mx1(2), opt)
-                            .avf.due();
-            return sb > 0 ? mb / sb : 0.0;
+        auto sweep = [&](const char *style) {
+            job.style = style;
+            return runSweep(job, makeDesign(job, life.horizon), life)
+                .sweep;
         };
-
-        auto base = makeCacheArray(geom, CacheInterleave::Logical, 2);
-        double sb =
-            computeSbAvf(*base, run.l1, parity, opt).avf.due();
-        double r_log = ratio(CacheInterleave::Logical);
-        double r_way = ratio(CacheInterleave::WayPhysical);
-        double r_idx = ratio(CacheInterleave::IndexPhysical);
+        auto ratio = [](const ModeSweep &s) {
+            double sb = s.avf(1).due();
+            return sb > 0 ? s.avf(2).due() / sb : 0.0;
+        };
+        const ModeSweep logical = sweep("logical");
+        double r_log = ratio(logical);
+        double r_way = ratio(sweep("way"));
+        double r_idx = ratio(sweep("index"));
         g_log.add(r_log);
         g_way.add(r_way);
         g_idx.add(r_idx);
 
         table.beginRow()
             .cell(name)
-            .cell(sb, 4)
+            .cell(logical.avf(1).due(), 4)
             .cell(r_log, 3)
             .cell(r_way, 3)
             .cell(r_idx, 3);

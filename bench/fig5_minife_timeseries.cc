@@ -12,9 +12,6 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -23,40 +20,32 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig5_minife_timeseries", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const unsigned windows =
-        static_cast<unsigned>(args.getInt("windows", 16));
-    const std::string workload = args.getString("workload", "minife");
+    configureThreads(args);
+    JobConfig job;
+    job.workload = args.getString("workload", "minife");
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.windows = unsignedFlag(args, "windows", 16);
+    job.modes = 2;
 
-    std::cout << "Figure 5: DUE AVF over time, " << workload
+    std::cout << "Figure 5: DUE AVF over time, " << job.workload
               << ", L1 cache, parity\n\n";
 
-    note("running " + workload);
-    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
-    CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                       run.config.l1.lineBytes};
-    ParityScheme parity;
-    MbAvfOptions opt;
-    opt.horizon = run.horizon;
-    opt.numThreads = threads;
-    opt.numWindows = windows;
-
-    auto windowed = [&](CacheInterleave style, unsigned mode_bits) {
-        auto array = makeCacheArray(geom, style, 2);
-        return computeMbAvf(*array, run.l1, parity,
-                            FaultMode::mx1(mode_bits), opt);
+    note("running " + job.workload);
+    const Lifetimes life = jobLifetimes(job);
+    auto sweep = [&](const char *style) {
+        job.style = style;
+        return runSweep(job, makeDesign(job, life.horizon), life).sweep;
     };
 
-    MbAvfResult sb = windowed(CacheInterleave::IndexPhysical, 1);
-    MbAvfResult mb_idx = windowed(CacheInterleave::IndexPhysical, 2);
-    MbAvfResult mb_log = windowed(CacheInterleave::Logical, 2);
-    MbAvfResult mb_way = windowed(CacheInterleave::WayPhysical, 2);
+    const ModeSweep idx = sweep("index");
+    const MbAvfResult &sb = idx.results[0];
+    const MbAvfResult &mb_idx = idx.results[1];
+    const MbAvfResult mb_log = sweep("logical").results[1];
+    const MbAvfResult mb_way = sweep("way").results[1];
 
     Table table({"window", "SB-AVF", "2x1 idx-phys", "2x1 logical",
                  "2x1 way-phys", "MB/SB (idx)"});
-    for (unsigned w = 0; w < windows; ++w) {
+    for (unsigned w = 0; w < job.windows; ++w) {
         double s = sb.windows[w].due();
         double mi = mb_idx.windows[w].due();
         table.beginRow()

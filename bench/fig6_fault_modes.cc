@@ -14,9 +14,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -25,17 +22,17 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig6_fault_modes", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.style = "way";
+    job.interleave = 4;
+    job.modes = 8;
     const std::vector<unsigned> modes = {2, 3, 4, 5, 6, 7, 8};
+    const std::vector<std::string> schemes = {"parity", "secded"};
 
     std::cout << "Figure 6: DUE MB-AVF by fault mode, L1, x4 "
                  "way-physical interleaving\n";
-
-    ParityScheme parity;
-    SecDedScheme secded;
-    std::vector<const ProtectionScheme *> schemes = {&parity, &secded};
 
     std::vector<std::string> header = {"workload"};
     for (unsigned m : modes)
@@ -46,26 +43,21 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        auto array =
-            makeCacheArray(geom, CacheInterleave::WayPhysical, 4);
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
 
-        // Normalize to the structure's single-bit DUE AVF (parity).
-        double sb =
-            computeSbAvf(*array, run.l1, parity, opt).avf.due();
-
+        double sb = 0.0;
         for (std::size_t s = 0; s < schemes.size(); ++s) {
+            job.scheme = schemes[s];
+            const ModeSweep sweep =
+                runSweep(job, makeDesign(job, life.horizon), life).sweep;
+            // Normalize to the structure's single-bit DUE AVF
+            // (parity).
+            if (s == 0)
+                sb = sweep.avf(1).due();
             tables[s].beginRow().cell(name);
             for (std::size_t i = 0; i < modes.size(); ++i) {
-                double mb =
-                    computeMbAvf(*array, run.l1, *schemes[s],
-                                 FaultMode::mx1(modes[i]), opt)
-                        .avf.due();
+                double mb = sweep.avf(modes[i]).due();
                 double ratio = sb > 0 ? mb / sb : 0.0;
                 geo[s][i].add(ratio);
                 tables[s].cell(ratio, 3);
@@ -75,7 +67,8 @@ main(int argc, char **argv)
 
     for (std::size_t s = 0; s < schemes.size(); ++s) {
         std::cout << "\n-- (" << (s ? 'b' : 'a') << ") DUE MB-AVF / "
-                  << "SB-AVF, " << schemes[s]->name() << " --\n\n";
+                  << "SB-AVF, " << makeScheme(schemes[s])->name()
+                  << " --\n\n";
         tables[s].beginRow().cell("geomean");
         for (std::size_t i = 0; i < modes.size(); ++i)
             tables[s].cell(geo[s][i].geomean(), 3);

@@ -14,9 +14,6 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -25,32 +22,26 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig8_sdc_3x1", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const unsigned windows =
-        static_cast<unsigned>(args.getInt("windows", 12));
-    const std::string workload = args.getString("workload", "minife");
+    configureThreads(args);
+    JobConfig job;
+    job.workload = args.getString("workload", "minife");
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.windows = unsignedFlag(args, "windows", 12);
+    job.modes = 3;
 
-    std::cout << "Figure 8: 3x1 SDC and DUE MB-AVF, " << workload
+    std::cout << "Figure 8: 3x1 SDC and DUE MB-AVF, " << job.workload
               << ", L1, parity, x2 interleaving\n\n";
 
-    note("running " + workload);
-    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
-    CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                       run.config.l1.lineBytes};
-    ParityScheme parity;
-    MbAvfOptions opt;
-    opt.horizon = run.horizon;
-    opt.numThreads = threads;
-    opt.numWindows = windows;
+    note("running " + job.workload);
+    const Lifetimes life = jobLifetimes(job);
+    auto mode3 = [&](const char *style) {
+        job.style = style;
+        return runSweep(job, makeDesign(job, life.horizon), life)
+            .sweep.results[2];
+    };
 
-    auto idx = makeCacheArray(geom, CacheInterleave::IndexPhysical, 2);
-    auto way = makeCacheArray(geom, CacheInterleave::WayPhysical, 2);
-    MbAvfResult r_idx = computeMbAvf(*idx, run.l1, parity,
-                                     FaultMode::mx1(3), opt);
-    MbAvfResult r_way = computeMbAvf(*way, run.l1, parity,
-                                     FaultMode::mx1(3), opt);
+    const MbAvfResult r_idx = mode3("index");
+    const MbAvfResult r_way = mode3("way");
 
     // Shielded variant: assume the partner line's parity check fires
     // before the corrupted data propagates (the Section VIII rule).
@@ -59,17 +50,14 @@ main(int argc, char **argv)
     // MB-AVF is provably identical across x2 interleaving styles;
     // the style-dependence the paper observes appears in the DUE
     // split and, under this variant, in SDC as well (EXPERIMENTS.md).
-    MbAvfOptions shield = opt;
-    shield.dueShieldsSdc = true;
-    shield.numWindows = 0;
-    MbAvfResult s_idx = computeMbAvf(*idx, run.l1, parity,
-                                     FaultMode::mx1(3), shield);
-    MbAvfResult s_way = computeMbAvf(*way, run.l1, parity,
-                                     FaultMode::mx1(3), shield);
+    job.shieldDue = true;
+    job.windows = 0;
+    const MbAvfResult s_idx = mode3("index");
+    const MbAvfResult s_way = mode3("way");
 
     Table table({"window", "idx SDC", "idx DUE", "way SDC",
                  "way DUE"});
-    for (unsigned w = 0; w < windows; ++w) {
+    for (std::size_t w = 0; w < r_idx.windows.size(); ++w) {
         table.beginRow()
             .cell(std::to_string(w))
             .cell(r_idx.windows[w].sdc, 4)

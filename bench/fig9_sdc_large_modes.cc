@@ -15,9 +15,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -26,9 +23,10 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("fig9_sdc_large_modes", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.style = "way";
     const std::vector<unsigned> modes = {5, 6, 7, 8};
 
     std::cout << "Figure 9: SDC MB-AVF for large fault modes, L1, "
@@ -40,35 +38,31 @@ main(int argc, char **argv)
     header.push_back("5x1 DUE/SB");
     Table table(header);
 
-    ParityScheme parity;
-    SecDedScheme secded;
     std::vector<RunningStats> geo(modes.size());
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        auto array =
-            makeCacheArray(geom, CacheInterleave::WayPhysical, 2);
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
+        auto sweep = [&](const char *scheme, unsigned max_mode) {
+            job.scheme = scheme;
+            job.modes = max_mode;
+            return runSweep(job, makeDesign(job, life.horizon), life)
+                .sweep;
+        };
 
-        double sb =
-            computeSbAvf(*array, run.l1, parity, opt).avf.due();
+        double sb = sweep("parity", 1).avf(1).due();
+        const ModeSweep secded = sweep("secded", 8);
 
         table.beginRow().cell(name);
         double due5 = 0;
         for (std::size_t i = 0; i < modes.size(); ++i) {
-            MbAvfResult mb = computeMbAvf(*array, run.l1, secded,
-                                          FaultMode::mx1(modes[i]),
-                                          opt);
-            double ratio = sb > 0 ? mb.avf.sdc / sb : 0.0;
+            const AvfFractions &mb = secded.avf(modes[i]);
+            double ratio = sb > 0 ? mb.sdc / sb : 0.0;
             geo[i].add(ratio);
             table.cell(ratio, 3);
             if (modes[i] == 5)
-                due5 = sb > 0 ? mb.avf.due() / sb : 0.0;
+                due5 = sb > 0 ? mb.due() / sb : 0.0;
         }
         table.cell(due5, 3);
     }

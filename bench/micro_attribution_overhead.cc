@@ -46,11 +46,7 @@
 #include "analyze/attribution.hh"
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
-#include "core/layout.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
 #include "obs/stopwatch.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -118,13 +114,14 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("micro_attribution_overhead", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const unsigned mode_size =
-        static_cast<unsigned>(args.getInt("mode", 4));
-    const unsigned repeats =
-        static_cast<unsigned>(args.getInt("repeats", 3));
+    configureThreads(args);
+    JobConfig job;
+    job.structure = "vgpr";
+    job.scheme = "secded";
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.modes = unsignedFlag(args, "mode", 4);
+    const unsigned mode_size = job.modes;
+    const unsigned repeats = unsignedFlag(args, "repeats", 3, 1);
     const double max_disabled = args.getDouble("max-disabled-cost", 0.0);
     const double max_attr = args.getDouble("max-attr-cost", 0.0);
 
@@ -136,43 +133,45 @@ main(int argc, char **argv)
                  "disabled", "attr x"});
     RunningStats g_disabled;
     RunningStats g_attr;
-    SecDedScheme secded;
     const FaultMode mode = FaultMode::mx1(mode_size);
     bool identical = true;
     bool conserved = true;
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{},
-                                    AceStore::Vgpr);
-        auto array = makeRegFileArray(run.config.regs,
-                                      RegInterleave::InterThread, 2);
-        LifetimeStore stripped = stripTags(run.vgpr);
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
+        const Design design = makeDesign(job, life.horizon);
+        const PhysicalArray &array = *design.array;
+        const ProtectionScheme &secded = *design.scheme;
+        const LifetimeStore &store = life.store;
+        LifetimeStore stripped = stripTags(store);
 
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numThreads = threads;
+        // SDC takes precedence: the study times the sweep without
+        // the DUE-shields-SDC rule of inter-thread designs.
+        MbAvfOptions opt = design.options;
+        opt.dueShieldsSdc = false;
 
         // One untimed sweep of each store, then tagged and stripped
         // repeats in turn (best of each): a cold first sweep or host
         // drift lands on both sides of the ratio, not on one.
         MbAvfResult tagged, untagged;
-        timeSweep(*array, run.vgpr, secded, mode, opt, tagged);
-        timeSweep(*array, stripped, secded, mode, opt, untagged);
+        timeSweep(array, store, secded, mode, opt, tagged);
+        timeSweep(array, stripped, secded, mode, opt, untagged);
         double sweep_s = 0.0, strip_s = 0.0;
         for (unsigned r = 0; r < repeats; ++r) {
             const double t =
-                timeSweep(*array, run.vgpr, secded, mode, opt, tagged);
+                timeSweep(array, store, secded, mode, opt, tagged);
             const double u =
-                timeSweep(*array, stripped, secded, mode, opt, untagged);
+                timeSweep(array, stripped, secded, mode, opt, untagged);
             if (r == 0 || t < sweep_s)
                 sweep_s = t;
             if (r == 0 || u < strip_s)
                 strip_s = u;
         }
         analyze::AttributionResult attr;
-        double attr_s = timeAttribution(*array, run.vgpr, secded,
-                                        mode, opt, repeats, attr);
+        double attr_s = timeAttribution(array, store, secded, mode,
+                                        opt, repeats, attr);
 
         if (!sameResult(tagged, untagged)) {
             std::cerr << "FAIL: tagged and stripped sweeps diverge "

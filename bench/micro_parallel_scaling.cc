@@ -21,11 +21,8 @@
 
 #include "bench/bench_util.hh"
 #include "common/parallel.hh"
-#include "core/protection.hh"
-#include "core/sweep.hh"
 #include "inject/campaign.hh"
 #include "obs/stopwatch.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -63,16 +60,15 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("micro_parallel_scaling", &args);
-    const std::string workload =
-        args.getString("workload", "histogram");
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const unsigned trials =
-        static_cast<unsigned>(args.getInt("trials", 256));
-    const unsigned max_mode =
-        static_cast<unsigned>(args.getInt("modes", 8));
-    unsigned max_threads =
-        static_cast<unsigned>(args.getInt("max-threads", 0));
+    JobConfig job;
+    job.workload = args.getString("workload", "histogram");
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.style = "way";
+    job.interleave = 4;
+    job.windows = 8;
+    job.modes = unsignedFlag(args, "modes", 8);
+    const unsigned trials = unsignedFlag(args, "trials", 256);
+    unsigned max_threads = unsignedFlag(args, "max-threads", 0);
     if (max_threads == 0)
         max_threads = std::max(1u, std::thread::hardware_concurrency());
 
@@ -83,20 +79,15 @@ main(int argc, char **argv)
     if (max_threads != 1 && max_threads != 2 && max_threads != 4)
         counts.push_back(max_threads);
 
-    note("simulating " + workload + " for lifetimes");
-    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
-    CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                       run.config.l1.lineBytes};
-    auto array = makeCacheArray(geom, CacheInterleave::WayPhysical, 4);
-    ParityScheme parity;
+    note("simulating " + job.workload + " for lifetimes");
+    const Lifetimes life = jobLifetimes(job);
+    const Design design = makeDesign(job, life.horizon);
 
-    note("golden run of " + workload + " for the campaign");
-    Campaign campaign(workload, scale, run.config);
+    note("golden run of " + job.workload + " for the campaign");
+    Campaign campaign(job.workload, job.scale, GpuConfig{});
     const std::uint64_t seed = 12345;
 
-    MbAvfOptions opt;
-    opt.horizon = run.horizon;
-    opt.numWindows = 8;
+    MbAvfOptions opt = design.options;
 
     Table table({"threads", "sweep s", "sweep x", "campaign s",
                  "campaign x", "trials/s"});
@@ -110,8 +101,8 @@ main(int argc, char **argv)
         opt.numThreads = t == 1 ? 1 : 0;
 
         obs::Stopwatch watch;
-        ModeSweep sweep =
-            sweepModes(*array, run.l1, parity, opt, max_mode);
+        ModeSweep sweep = sweepModes(*design.array, life.store,
+                                     *design.scheme, opt, job.modes);
         double sweep_s = watch.restart();
 
         std::vector<InjectOutcome> outcomes =
@@ -145,7 +136,7 @@ main(int argc, char **argv)
             .cell(camp_s > 0 ? trials / camp_s : 0.0, 1);
     }
 
-    std::cout << "parallel scaling: " << workload << ", " << max_mode
+    std::cout << "parallel scaling: " << job.workload << ", " << job.modes
               << " modes, " << trials << " trials\n\n";
     bench.emit(table);
     std::cout << (identical

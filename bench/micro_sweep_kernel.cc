@@ -38,10 +38,7 @@
 #include "common/stats.hh"
 #include "core/arena_io.hh"
 #include "core/lifetime_arena.hh"
-#include "core/protection.hh"
-#include "core/sweep.hh"
 #include "obs/stopwatch.hh"
-#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -129,13 +126,14 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     BenchReporter bench("micro_sweep_kernel", &args);
-    const unsigned threads = configureThreads(args);
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const unsigned max_mode =
-        static_cast<unsigned>(args.getInt("modes", 8));
-    const unsigned repeats =
-        static_cast<unsigned>(args.getInt("repeats", 3));
+    configureThreads(args);
+    JobConfig job;
+    job.scale = unsignedFlag(args, "scale", 1);
+    job.style = "logical";
+    job.windows = 8;
+    job.modes = unsignedFlag(args, "modes", 8);
+    const unsigned max_mode = job.modes;
+    const unsigned repeats = unsignedFlag(args, "repeats", 3, 1);
     const double min_speedup = args.getDouble("min-speedup", 0.0);
 
     std::cout << "sweep kernel: reference per-mode path vs in-memory "
@@ -145,33 +143,29 @@ main(int argc, char **argv)
     Table table({"workload", "ref ms", "kernel ms", "mmap ms",
                  "speedup"});
     RunningStats g_speedup;
-    ParityScheme parity;
     bool identical = true;
     std::vector<std::string> below_floor;
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        AceRun run = runAceAnalysis(name, scale, GpuConfig{}, AceStore::L1);
-        CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                           run.config.l1.lineBytes};
-        auto array = makeCacheArray(geom, CacheInterleave::Logical, 2);
-
-        MbAvfOptions opt;
-        opt.horizon = run.horizon;
-        opt.numWindows = 8;
-        opt.numThreads = threads;
+        job.workload = name;
+        const Lifetimes life = jobLifetimes(job);
+        const Design design = makeDesign(job, life.horizon);
+        const PhysicalArray &array = *design.array;
+        const ProtectionScheme &parity = *design.scheme;
+        const MbAvfOptions &opt = design.options;
 
         ModeSweep ref, kernel, mapped;
-        double ref_s = timeSweep(*array, run.l1, parity, opt,
+        double ref_s = timeSweep(array, life.store, parity, opt,
                                  max_mode, true, repeats, ref);
-        double kernel_s = timeSweep(*array, run.l1, parity, opt,
+        double kernel_s = timeSweep(array, life.store, parity, opt,
                                     max_mode, false, repeats, kernel);
 
         // Persist + map back: the disk round trip must neither
         // change a single bit nor cost measurable sweep time.
         const std::string arena_path =
             "micro_sweep_" + name + ".arena.tmp";
-        saveArena(LifetimeArena(run.l1), arena_path, run.horizon);
+        saveArena(LifetimeArena(life.store), arena_path, life.horizon);
         std::string error;
         std::optional<LifetimeArena> disk_arena =
             tryLoadArena(arena_path, error);
@@ -180,8 +174,8 @@ main(int argc, char **argv)
                       << error << "\n";
             return 1;
         }
-        double mmap_s = timeSweepArena(*array, *disk_arena, parity,
-                                       opt, max_mode, repeats, mapped);
+        double mmap_s = timeSweepArena(array, *disk_arena, parity, opt,
+                                       max_mode, repeats, mapped);
         std::remove(arena_path.c_str());
 
         if (!sameSweep(ref, kernel) || !sameSweep(ref, mapped)) {

@@ -16,29 +16,28 @@
 #include <iostream>
 
 #include "common/args.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
-#include "core/fault_rates.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "core/ser.hh"
-#include "core/sweep.hh"
-#include "workloads/ace_runner.hh"
+#include "gpu/gpu.hh"
+#include "pipeline/pipeline.hh"
 
 using namespace mbavf;
 
 namespace
 {
 
-/** Per-mode SER of one structure (Eq. 3) via the sweep API. */
+/**
+ * Per-mode SER of one structure (Eq. 3): @p job's design over its
+ * own lifetimes, with job.totalFit the structure's raw FIT.
+ */
 StructureSer
-structureSer(const PhysicalArray &array, const LifetimeStore &life,
-             const ProtectionScheme &scheme, Cycle horizon,
-             double raw_fit, bool due_shields_sdc = false)
+structureSer(const JobConfig &job)
 {
-    MbAvfOptions opt;
-    opt.horizon = horizon;
-    opt.dueShieldsSdc = due_shields_sdc;
-    return computeStructureSer(array, life, scheme, opt, raw_fit);
+    std::string error;
+    Lifetimes life;
+    if (!validateJob(job, error) || !readLifetimes(job, "", life, error))
+        fatal(error);
+    return runSweep(job, makeDesign(job, life.horizon), life).ser;
 }
 
 } // namespace
@@ -57,44 +56,39 @@ main(int argc, char **argv)
               << "mix)\n\nDesign: L1 parity x2 logical, L2 SEC-DED "
               << "x2 way-physical, VGPR parity tx4\n\n";
 
-    AceRun run = runAceAnalysis(
-        workload, 1, GpuConfig{},
-        AceStore::L1 | AceStore::L2 | AceStore::Vgpr);
-    const GpuConfig &cfg = run.config;
-
+    const GpuConfig cfg;
     auto mbits = [](double bits) { return bits / (1024 * 1024); };
+    JobConfig job;
+    job.workload = workload;
 
     // L1: per CU, parity with x2 logical interleaving.
     CacheGeometry l1_geom{cfg.l1.sets, cfg.l1.ways, cfg.l1.lineBytes};
     double l1_bits =
         double(l1_geom.numLines()) * l1_geom.lineBits();
-    auto l1_array =
-        makeCacheArray(l1_geom, CacheInterleave::Logical, 2);
-    ParityScheme parity;
-    StructureSer l1_ser = structureSer(*l1_array, run.l1, parity,
-                                       run.horizon,
-                                       fit_per_mbit * mbits(l1_bits));
+    job.style = "logical";
+    job.totalFit = fit_per_mbit * mbits(l1_bits);
+    StructureSer l1_ser = structureSer(job);
 
     // L2: shared, SEC-DED with x2 way-physical interleaving.
     CacheGeometry l2_geom{cfg.l2.sets, cfg.l2.ways, cfg.l2.lineBytes};
     double l2_bits =
         double(l2_geom.numLines()) * l2_geom.lineBits();
-    auto l2_array =
-        makeCacheArray(l2_geom, CacheInterleave::WayPhysical, 2);
-    SecDedScheme secded;
-    StructureSer l2_ser = structureSer(*l2_array, run.l2, secded,
-                                       run.horizon,
-                                       fit_per_mbit * mbits(l2_bits));
+    job.structure = "l2";
+    job.scheme = "secded";
+    job.style = "way";
+    job.totalFit = fit_per_mbit * mbits(l2_bits);
+    StructureSer l2_ser = structureSer(job);
 
     // VGPR: per CU, parity with x4 inter-thread interleaving (the
-    // paper's case-study winner).
+    // paper's case-study winner), where DUE shields SDC.
     double vgpr_bits = double(cfg.regs.numContainers()) *
         cfg.regs.regBits;
-    auto vgpr_array = makeRegFileArray(
-        cfg.regs, RegInterleave::InterThread, 4);
-    StructureSer vgpr_ser = structureSer(
-        *vgpr_array, run.vgpr, parity, run.horizon,
-        fit_per_mbit * mbits(vgpr_bits), /*due_shields_sdc=*/true);
+    job.structure = "vgpr";
+    job.scheme = "parity";
+    job.style = "inter";
+    job.interleave = 4;
+    job.totalFit = fit_per_mbit * mbits(vgpr_bits);
+    StructureSer vgpr_ser = structureSer(job);
 
     Table table({"structure", "copies", "Kbits", "raw FIT",
                  "SDC FIT", "DUE FIT"});

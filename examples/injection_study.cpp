@@ -14,13 +14,14 @@
 
 #include <cmath>
 #include <iostream>
+#include <limits>
 
 #include "common/args.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
+#include "gpu/gpu.hh"
 #include "inject/campaign.hh"
-#include "workloads/ace_runner.hh"
+#include "pipeline/pipeline.hh"
 
 using namespace mbavf;
 
@@ -31,28 +32,35 @@ main(int argc, char **argv)
     args.requireKnown({"workload", "n", "seed"});
     const std::string workload =
         args.getString("workload", "dct");
-    const unsigned n = static_cast<unsigned>(args.getInt("n", 1500));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1234));
+    const unsigned n = static_cast<unsigned>(args.getIntInRange(
+        "n", 1500, 1, std::numeric_limits<unsigned>::max()));
+    const std::uint64_t seed = static_cast<std::uint64_t>(
+        args.getIntInRange("seed", 1234, 0,
+                           std::numeric_limits<std::int64_t>::max()));
 
     std::cout << "Injection vs ACE analysis, VGPR of '" << workload
               << "'\n\n";
 
     // ACE-analysis prediction: unprotected single-bit SDC AVF.
-    AceRun run = runAceAnalysis(workload, 1, GpuConfig{}, AceStore::Vgpr);
-    NoProtection none;
-    MbAvfOptions opt;
-    opt.horizon = run.horizon;
-    auto array = makeRegFileArray(run.config.regs,
-                                  RegInterleave::IntraThread, 1);
-    double predicted = computeSbAvf(*array, run.vgpr, none, opt)
-                           .avf.sdc;
+    JobConfig job;
+    job.workload = workload;
+    job.structure = "vgpr";
+    job.scheme = "none";
+    job.style = "intra";
+    job.interleave = 1;
+    job.modes = 1;
+    std::string error;
+    Lifetimes life;
+    if (!validateJob(job, error) || !readLifetimes(job, "", life, error))
+        fatal(error);
+    double predicted =
+        runSweep(job, makeDesign(job, life.horizon), life).sweep.avf(1).sdc;
 
     // Injection campaign measurement: n independent trials executed
     // concurrently on the shared pool, trial t seeded from
     // splitMix64(seed, t) so the study is reproducible at any
     // thread count.
-    Campaign campaign(workload, 1, run.config);
+    Campaign campaign(workload, 1, GpuConfig{});
     std::vector<InjectOutcome> outcomes =
         campaign.runTrials(n, seed, TrialKind::Register);
     unsigned sdc = 0;

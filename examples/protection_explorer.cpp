@@ -14,15 +14,13 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common/args.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
-#include "core/fault_rates.hh"
-#include "core/mbavf.hh"
-#include "core/protection.hh"
-#include "core/ser.hh"
-#include "core/sweep.hh"
-#include "workloads/ace_runner.hh"
+#include "gpu/gpu.hh"
+#include "pipeline/pipeline.hh"
 
 using namespace mbavf;
 
@@ -31,45 +29,41 @@ main(int argc, char **argv)
 {
     Args args(argc, argv);
     args.requireKnown({"workload", "scale"});
-    const std::string workload = args.getString("workload", "srad");
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    JobConfig job;
+    job.workload = args.getString("workload", "srad");
+    job.scale = static_cast<unsigned>(args.getIntInRange(
+        "scale", 1, 0, std::numeric_limits<unsigned>::max()));
+    job.style = "way";
 
-    std::cout << "Protection design exploration for '" << workload
+    std::cout << "Protection design exploration for '" << job.workload
               << "' (L1 data array, 100 FIT raw)\n\n";
 
-    AceRun run = runAceAnalysis(workload, scale, GpuConfig{}, AceStore::L1);
-    CacheGeometry geom{run.config.l1.sets, run.config.l1.ways,
-                       run.config.l1.lineBytes};
-    MbAvfOptions opt;
-    opt.horizon = run.horizon;
+    std::string error;
+    Lifetimes life;
+    if (!validateJob(job, error) || !readLifetimes(job, "", life, error))
+        fatal(error);
+    // Logical check words shrink with interleaving; the check-bit
+    // count is per line (one word per line for physical styles).
+    const unsigned data_bits = GpuConfig{}.l1.lineBytes * 8;
 
     Table table({"scheme", "interleave", "SDC SER", "DUE SER",
                  "check bits/line", "area"});
 
-    for (const char *scheme_name : {"parity", "secded", "dected"}) {
-        auto scheme = makeScheme(scheme_name);
+    for (const char *scheme : {"parity", "secded", "dected"}) {
+        job.scheme = scheme;
         for (unsigned ileave : {1u, 2u, 4u}) {
-            auto array = makeCacheArray(
-                geom, CacheInterleave::WayPhysical, ileave);
-
-            StructureSer ser = computeStructureSer(
-                *array, run.l1, *scheme, opt, 100.0);
-
-            // Logical check words shrink with interleaving; the
-            // check-bit count is per line (one word per line for
-            // physical styles).
-            unsigned data_bits = geom.lineBits();
-            unsigned check = scheme->checkBits(data_bits);
+            job.interleave = ileave;
+            // Modes 1x1..8x1 folded with the Table III rates at
+            // job.totalFit (Eq. 3).
+            const Design design = makeDesign(job, life.horizon);
+            const SweepResult result = runSweep(job, design, life);
             table.beginRow()
-                .cell(scheme->name())
+                .cell(design.scheme->name())
                 .cell("x" + std::to_string(ileave) + " way-phys")
-                .cell(ser.sdc, 4)
-                .cell(ser.due(), 4)
-                .cell(std::uint64_t(check))
-                .cell(formatFixed(
-                          100.0 * scheme->areaOverhead(data_bits), 2) +
-                      "%");
+                .cell(result.ser.sdc, 4)
+                .cell(result.ser.due(), 4)
+                .cell(std::uint64_t(design.scheme->checkBits(data_bits)))
+                .cell(formatFixed(100.0 * result.areaOverhead, 2) + "%");
         }
     }
     table.printText(std::cout);

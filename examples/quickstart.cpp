@@ -10,11 +10,12 @@
  */
 
 #include <iostream>
+#include <limits>
 
 #include "common/args.hh"
 #include "common/table.hh"
-#include "core/mbavf.hh"
 #include "core/protection.hh"
+#include "core/sweep.hh"
 #include "workloads/ace_runner.hh"
 
 using namespace mbavf;
@@ -25,8 +26,8 @@ main(int argc, char **argv)
     Args args(argc, argv);
     args.requireKnown({"workload", "scale"});
     const std::string workload = args.getString("workload", "minife");
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    const unsigned scale = static_cast<unsigned>(args.getIntInRange(
+        "scale", 1, 0, std::numeric_limits<unsigned>::max()));
 
     std::cout << "mbavf quickstart: ACE analysis of '" << workload
               << "' (scale " << scale << ")\n";
@@ -50,18 +51,15 @@ main(int argc, char **argv)
                        CacheInterleave::WayPhysical,
                        CacheInterleave::IndexPhysical}) {
         auto array = makeCacheArray(geom, style, 2);
-        MbAvfResult sb = computeSbAvf(*array, run.l1, parity, opt);
-        MbAvfResult mb2 = computeMbAvf(*array, run.l1, parity,
-                                       FaultMode::mx1(2), opt);
-        MbAvfResult mb4 = computeMbAvf(*array, run.l1, parity,
-                                       FaultMode::mx1(4), opt);
+        // Modes 1x1..4x1 in one pass over the array.
+        ModeSweep sweep = sweepModes(*array, run.l1, parity, opt, 4);
         table.beginRow()
             .cell(cacheInterleaveName(style) + " x2")
-            .cell(sb.avf.due(), 4)
-            .cell(mb2.avf.due(), 4)
-            .cell(mb2.avf.sdc, 4)
-            .cell(mb4.avf.due(), 4)
-            .cell(mb4.avf.sdc, 4);
+            .cell(sweep.avf(1).due(), 4)
+            .cell(sweep.avf(2).due(), 4)
+            .cell(sweep.avf(2).sdc, 4)
+            .cell(sweep.avf(4).due(), 4)
+            .cell(sweep.avf(4).sdc, 4);
     }
     table.printText(std::cout);
 
