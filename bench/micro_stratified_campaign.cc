@@ -55,20 +55,19 @@ main(int argc, char **argv)
     configureThreads(args);
 
     const std::string workload = args.getString("workload", "minife");
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
-    const std::uint64_t budget =
-        static_cast<std::uint64_t>(args.getInt("budget", 300));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 5));
+    const unsigned scale = unsignedFlag(args, "scale", 1);
+    constexpr std::int64_t int64_max =
+        std::numeric_limits<std::int64_t>::max();
+    const std::uint64_t budget = static_cast<std::uint64_t>(
+        args.getIntInRange("budget", 300, 1, int64_max));
+    const std::uint64_t seed = static_cast<std::uint64_t>(
+        args.getIntInRange("seed", 5, 0, int64_max));
     const double min_reduction =
         args.getDouble("min-trial-reduction", 0.0);
 
     StratifyOptions options;
-    options.windows =
-        static_cast<unsigned>(args.getInt("windows", 8));
-    options.maxClasses =
-        static_cast<unsigned>(args.getInt("classes", 64));
+    options.windows = unsignedFlag(args, "windows", 8);
+    options.maxClasses = unsignedFlag(args, "classes", 64);
 
     note("golden run of " + workload);
     Campaign campaign(workload, scale, GpuConfig{});

@@ -27,12 +27,11 @@ main(int argc, char **argv)
     Args args(argc, argv);
     BenchReporter bench("table2_ace_interference", &args);
     configureThreads(args);
-    const unsigned n =
-        static_cast<unsigned>(args.getInt("n", 2000));
-    const unsigned scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    const unsigned n = unsignedFlag(args, "n", 2000, 1);
+    const unsigned scale = unsignedFlag(args, "scale", 1);
     const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 0x7ab1e2));
+        static_cast<std::uint64_t>(args.getIntInRange(
+            "seed", 0x7ab1e2, 0, std::numeric_limits<std::int64_t>::max()));
 
     std::cout << "Table II: ACE interference in multi-bit faults "
                  "(VGPR, " << n << " single-bit injections per "
