@@ -310,13 +310,6 @@ computeMbAvf(const PhysicalArray &array, const LifetimeStore &store,
     return result;
 }
 
-MbAvfResult
-computeSbAvf(const PhysicalArray &array, const LifetimeStore &store,
-             const ProtectionScheme &scheme, const MbAvfOptions &opt)
-{
-    return computeMbAvf(array, store, scheme, FaultMode::mx1(1), opt);
-}
-
 std::vector<MbAvfResult>
 computeMbAvfModes(const PhysicalArray &array, const LifetimeArena &arena,
                   const ProtectionScheme &scheme, const MbAvfOptions &opt,

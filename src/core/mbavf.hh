@@ -101,7 +101,8 @@ struct MbAvfResult
 
 /**
  * Compute the MB-AVF of @p mode on @p array protected by @p scheme,
- * using the ACE lifetimes in @p store.
+ * using the ACE lifetimes in @p store. The single-bit AVF is mode
+ * 1x1: Eq. 1 falls out of Eq. 2 at M = 1.
  */
 MbAvfResult computeMbAvf(const PhysicalArray &array,
                          const LifetimeStore &store,
@@ -145,15 +146,6 @@ std::vector<MbAvfResult> computeMbAvfModes(const PhysicalArray &array,
                                            const MbAvfOptions &opt,
                                            unsigned max_mode,
                                            TagCycles *charges = nullptr);
-
-/**
- * Convenience: single-bit AVF of the structure (a 1x1 "multi-bit"
- * mode; Eq. 1 falls out of Eq. 2 at M = 1).
- */
-MbAvfResult computeSbAvf(const PhysicalArray &array,
-                         const LifetimeStore &store,
-                         const ProtectionScheme &scheme,
-                         const MbAvfOptions &opt);
 
 } // namespace mbavf
 

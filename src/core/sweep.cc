@@ -49,15 +49,4 @@ sweepSer(const ModeSweep &sweep, std::span<const double> fits)
     return ser;
 }
 
-StructureSer
-computeStructureSer(const PhysicalArray &array,
-                    const LifetimeStore &store,
-                    const ProtectionScheme &scheme,
-                    const MbAvfOptions &opt, double total_fit)
-{
-    ModeSweep sweep = sweepModes(array, store, scheme, opt);
-    auto fits = caseStudyFaultRates(total_fit);
-    return sweepSer(sweep, fits);
-}
-
 } // namespace mbavf

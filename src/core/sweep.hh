@@ -69,16 +69,6 @@ ModeSweep sweepModesArena(const PhysicalArray &array,
 StructureSer sweepSer(const ModeSweep &sweep,
                       std::span<const double> fits);
 
-/**
- * One-call SER: sweep modes and fold with the 22nm case-study rates
- * scaled to @p total_fit.
- */
-StructureSer computeStructureSer(const PhysicalArray &array,
-                                 const LifetimeStore &store,
-                                 const ProtectionScheme &scheme,
-                                 const MbAvfOptions &opt,
-                                 double total_fit = 100.0);
-
 } // namespace mbavf
 
 #endif // MBAVF_CORE_SWEEP_HH

@@ -80,7 +80,9 @@ TEST(MbAvfEngine, AllBitsAceGivesEqualSbAndMbAvf)
         addSegment(store, b, 0, 100, AceClass::AceLive);
 
     ParityScheme parity;
-    MbAvfResult sb = computeSbAvf(array, store, parity, opts(100));
+    MbAvfResult sb =
+        computeMbAvf(array, store, parity, FaultMode::mx1(1),
+                     opts(100));
     MbAvfResult mb =
         computeMbAvf(array, store, parity, FaultMode::mx1(m),
                      opts(100));
@@ -100,7 +102,9 @@ TEST(MbAvfEngine, DisjointAceTimesGiveMTimesSbAvf)
         addSegment(store, b, 25 * b, 25 * (b + 1), AceClass::AceLive);
 
     ParityScheme parity;
-    MbAvfResult sb = computeSbAvf(array, store, parity, opts(100));
+    MbAvfResult sb =
+        computeMbAvf(array, store, parity, FaultMode::mx1(1),
+                     opts(100));
     MbAvfResult mb = computeMbAvf(array, store, parity,
                                   FaultMode::mx1(m), opts(100));
     EXPECT_DOUBLE_EQ(sb.avf.total(), 0.25);
@@ -122,7 +126,9 @@ TEST(MbAvfEngine, MbAvfBoundedBySbAvfTimesM)
                        AceClass::AceLive);
         }
         ParityScheme parity;
-        MbAvfResult sb = computeSbAvf(array, store, parity, opts(100));
+        MbAvfResult sb =
+            computeMbAvf(array, store, parity, FaultMode::mx1(1),
+                         opts(100));
         MbAvfResult mb = computeMbAvf(array, store, parity,
                                       FaultMode::mx1(m), opts(100));
         ASSERT_GT(sb.avf.total(), 0.0);
@@ -161,7 +167,9 @@ TEST(MbAvfEngine, CorrectionEliminatesAvf)
     for (std::uint64_t b = 0; b < 8; ++b)
         addSegment(store, b, 0, 100, AceClass::AceLive);
     SecDedScheme secded;
-    MbAvfResult sb = computeSbAvf(array, store, secded, opts(100));
+    MbAvfResult sb =
+        computeMbAvf(array, store, secded, FaultMode::mx1(1),
+                     opts(100));
     EXPECT_DOUBLE_EQ(sb.avf.total(), 0.0);
 }
 
@@ -245,7 +253,9 @@ TEST(MbAvfEngine, ReadDeadDetectedIsFalseDue)
     LifetimeStore store(1, 1);
     addSegment(store, 0, 0, 40, AceClass::ReadDead);
     ParityScheme parity;
-    MbAvfResult sb = computeSbAvf(array, store, parity, opts(100));
+    MbAvfResult sb =
+        computeMbAvf(array, store, parity, FaultMode::mx1(1),
+                     opts(100));
     // One of 8 bits, ReadDead 40 of 100 cycles.
     EXPECT_NEAR(sb.avf.falseDue, 0.4 / 8, 1e-12);
     EXPECT_DOUBLE_EQ(sb.avf.sdc, 0.0);
@@ -253,7 +263,9 @@ TEST(MbAvfEngine, ReadDeadDetectedIsFalseDue)
 
     // Undetected (no protection): dead data never becomes an error.
     NoProtection none;
-    MbAvfResult sb2 = computeSbAvf(array, store, none, opts(100));
+    MbAvfResult sb2 =
+        computeMbAvf(array, store, none, FaultMode::mx1(1),
+                     opts(100));
     EXPECT_DOUBLE_EQ(sb2.avf.total(), 0.0);
 }
 
@@ -327,7 +339,9 @@ TEST(MbAvfEngine, HorizonClampsSegments)
     LifetimeStore store(1, 1);
     addSegment(store, 0, 0, 1000, AceClass::AceLive);
     ParityScheme parity;
-    MbAvfResult sb = computeSbAvf(array, store, parity, opts(100));
+    MbAvfResult sb =
+        computeMbAvf(array, store, parity, FaultMode::mx1(1),
+                     opts(100));
     EXPECT_NEAR(sb.avf.total(), 1.0 / 8, 1e-12);
 }
 

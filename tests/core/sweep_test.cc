@@ -76,24 +76,6 @@ TEST(Sweep, SerFoldsRates)
     EXPECT_NEAR(ser.sdc, 10.0 * sweep.avf(2).sdc, 1e-9);
 }
 
-TEST(Sweep, OneCallSerMatchesManual)
-{
-    FlatArray array(32);
-    LifetimeStore store = allAceStore(32, 100);
-    SecDedScheme secded;
-    MbAvfOptions opt;
-    opt.horizon = 100;
-
-    StructureSer one =
-        computeStructureSer(array, store, secded, opt, 100.0);
-    ModeSweep sweep = sweepModes(array, store, secded, opt);
-    auto fits = caseStudyFaultRates(100.0);
-    StructureSer manual = sweepSer(sweep, fits);
-    EXPECT_DOUBLE_EQ(one.sdc, manual.sdc);
-    EXPECT_DOUBLE_EQ(one.trueDue, manual.trueDue);
-    EXPECT_DOUBLE_EQ(one.falseDue, manual.falseDue);
-}
-
 TEST(Sweep, ParallelSweepIsBitIdenticalToSerial)
 {
     // A mixed store (some bits dead, varied segment shapes) swept
@@ -152,10 +134,9 @@ TEST(Sweep, SerScalesWithTotalFit)
     MbAvfOptions opt;
     opt.horizon = 100;
 
-    StructureSer a =
-        computeStructureSer(array, store, parity, opt, 100.0);
-    StructureSer b =
-        computeStructureSer(array, store, parity, opt, 300.0);
+    ModeSweep sweep = sweepModes(array, store, parity, opt);
+    StructureSer a = sweepSer(sweep, caseStudyFaultRates(100.0));
+    StructureSer b = sweepSer(sweep, caseStudyFaultRates(300.0));
     EXPECT_NEAR(b.total(), 3.0 * a.total(), 1e-9);
 }
 

@@ -157,7 +157,8 @@ TEST(WorkloadAce, VgprAvfIsSmallButNonzero)
     NoProtection none;
     MbAvfOptions opt;
     opt.horizon = run.horizon;
-    MbAvfResult sb = computeSbAvf(*array, run.vgpr, none, opt);
+    MbAvfResult sb = computeMbAvf(*array, run.vgpr, none,
+                                  FaultMode::mx1(1), opt);
     EXPECT_GT(sb.avf.sdc, 0.0);
     EXPECT_LT(sb.avf.sdc, 0.3); // registers are mostly short-lived
 }
