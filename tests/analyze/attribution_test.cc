@@ -5,8 +5,8 @@
  * checker's violation detection, and a differential fuzz asserting
  * that attribution equals a brute-force per-tag oracle row for row
  * and conserves computeMbAvf()'s raw integer totals bit-for-bit over
- * random layouts, schemes, and modes — serially and on the thread
- * pool.
+ * random layouts (every interleave stride, and shuffled columns),
+ * schemes, and modes — serially and on the thread pool.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/attribution.hh"
@@ -61,6 +62,37 @@ class FlatArray : public PhysicalArray
     std::uint64_t bits_;
     unsigned domainBits_;
     unsigned wordBits_;
+};
+
+/**
+ * @p inner with each row's columns shuffled by one random
+ * permutation: column c shows the cell at inner column perm[c], so a
+ * word's bits need not sit at base + b * I for any stride I.
+ */
+class PermutedArray : public PhysicalArray
+{
+  public:
+    PermutedArray(std::unique_ptr<PhysicalArray> inner, Rng &rng)
+        : inner_(std::move(inner)), perm_(inner_->cols())
+    {
+        for (std::uint64_t c = 0; c < perm_.size(); ++c)
+            perm_[c] = c;
+        for (std::uint64_t c = perm_.size(); c > 1; --c)
+            std::swap(perm_[c - 1], perm_[rng.below(c)]);
+    }
+
+    std::uint64_t rows() const override { return inner_->rows(); }
+    std::uint64_t cols() const override { return inner_->cols(); }
+
+    PhysBit
+    at(std::uint64_t row, std::uint64_t col) const override
+    {
+        return inner_->at(row, perm_[col]);
+    }
+
+  private:
+    std::unique_ptr<PhysicalArray> inner_;
+    std::vector<std::uint64_t> perm_;
 };
 
 /**
@@ -489,6 +521,87 @@ TEST(Attribution, ConservationFuzzRegFileLayouts)
             randomTaggedStore(rng, 32, 1, geom.numContainers(), 120);
         conservationTrial(*array, store, rng,
                           "regfile seed " + std::to_string(seed));
+    }
+}
+
+TEST(Attribution, ConservationFuzzCacheInterleaveByFour)
+{
+    // Way- and index-physical interleaving x4: bit b of byte w sits
+    // at column (8w + b) * 4 + pick, and a row holds four lines.
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        Rng rng(splitMix64(0xa7ca4, seed));
+        CacheGeometry geom;
+        geom.sets = 4;
+        geom.ways = 4;
+        geom.lineBytes = 2u << rng.below(2);
+        const CacheInterleave style = seed % 2
+                                          ? CacheInterleave::IndexPhysical
+                                          : CacheInterleave::WayPhysical;
+        auto array = makeCacheArray(geom, style, 4);
+        LifetimeStore store = randomTaggedStore(
+            rng, 8, geom.lineBytes, geom.numLines(), 120);
+        conservationTrial(*array, store, rng,
+                          "cache " + cacheInterleaveName(style) +
+                              " x4 seed " + std::to_string(seed));
+    }
+}
+
+TEST(Attribution, ConservationFuzzRegFileInterleaveByFourAndEight)
+{
+    // Intra- and inter-thread interleaving x4 and x8: bit b of a
+    // register sits at column b * I + pick, so a row of 32 * I
+    // columns spans two or four anchor words.
+    std::uint64_t seed = 0;
+    for (const bool intra : {true, false}) {
+        const RegInterleave style = intra ? RegInterleave::IntraThread
+                                          : RegInterleave::InterThread;
+        for (const unsigned factor : {4u, 8u}) {
+            Rng rng(splitMix64(0xa7e48, seed++));
+            RegFileGeometry geom;
+            geom.numRegs = 8;
+            geom.numLanes = 8;
+            geom.numSlots = 1;
+            auto array = makeRegFileArray(geom, style, factor);
+            LifetimeStore store =
+                randomTaggedStore(rng, 32, 1, geom.numContainers(), 120);
+            conservationTrial(*array, store, rng,
+                              std::string(intra ? "intra x" : "inter x") +
+                                  std::to_string(factor));
+        }
+    }
+}
+
+TEST(Attribution, ConservationFuzzPermutedColumns)
+{
+    // Register-file and cache rows whose columns are shuffled: no
+    // word's bits sit at a fixed stride, and a region's members are
+    // scattered along the row.
+    RegFileGeometry regs;
+    regs.numRegs = 4;
+    regs.numLanes = 4;
+    regs.numSlots = 1;
+    CacheGeometry cache;
+    cache.sets = 4;
+    cache.ways = 4;
+    cache.lineBytes = 2;
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        Rng rng(splitMix64(0xa79e7, seed));
+        const unsigned factor = 1u << rng.below(3);
+        std::unique_ptr<PhysicalArray> inner;
+        LifetimeStore store(8, 1);
+        if (seed % 2) {
+            const RegInterleave style = RegInterleave::IntraThread;
+            inner = makeRegFileArray(regs, style, factor);
+            store =
+                randomTaggedStore(rng, 32, 1, regs.numContainers(), 120);
+        } else {
+            const CacheInterleave style = CacheInterleave::IndexPhysical;
+            inner = makeCacheArray(cache, style, factor);
+            store = randomTaggedStore(rng, 8, 2, cache.numLines(), 120);
+        }
+        PermutedArray array(std::move(inner), rng);
+        conservationTrial(array, store, rng,
+                          "permuted seed " + std::to_string(seed));
     }
 }
 

@@ -3,11 +3,13 @@
  * Differential fuzz of the single-pass multi-mode sweep kernel
  * against the per-mode reference path (computeMbAvf once per mode).
  *
- * Random lifetime stores over random physical layouts, swept under
- * every protection scheme at varied horizons and window counts, must
- * produce bit-identical AVF fractions, per-window series, group
- * counts, and SER folds — serially and on the thread pool. Seeds are
- * fixed (splitMix64 streams), so any failure is exactly reproducible.
+ * Random lifetime stores over random physical layouts (cache and
+ * register-file interleaving at every stride up to x8, and rows with
+ * shuffled columns), swept under every protection scheme at varied
+ * horizons and window counts, must produce bit-identical AVF
+ * fractions, per-window series, group counts, and SER folds —
+ * serially and on the thread pool. Seeds are fixed (splitMix64
+ * streams), so any failure is exactly reproducible.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hh"
@@ -93,6 +96,37 @@ class RunDomainArray : public PhysicalArray
     std::uint64_t rows_;
     std::uint64_t cols_;
     std::vector<DomainId> domain_;
+};
+
+/**
+ * @p inner with each row's columns shuffled by one random
+ * permutation: column c shows the cell at inner column perm[c], so a
+ * word's bits need not sit at base + b * I for any stride I.
+ */
+class PermutedArray : public PhysicalArray
+{
+  public:
+    PermutedArray(std::unique_ptr<PhysicalArray> inner, Rng &rng)
+        : inner_(std::move(inner)), perm_(inner_->cols())
+    {
+        for (std::uint64_t c = 0; c < perm_.size(); ++c)
+            perm_[c] = c;
+        for (std::uint64_t c = perm_.size(); c > 1; --c)
+            std::swap(perm_[c - 1], perm_[rng.below(c)]);
+    }
+
+    std::uint64_t rows() const override { return inner_->rows(); }
+    std::uint64_t cols() const override { return inner_->cols(); }
+
+    PhysBit
+    at(std::uint64_t row, std::uint64_t col) const override
+    {
+        return inner_->at(row, perm_[col]);
+    }
+
+  private:
+    std::unique_ptr<PhysicalArray> inner_;
+    std::vector<std::uint64_t> perm_;
 };
 
 /**
@@ -275,6 +309,89 @@ TEST(SweepKernelFuzz, RegFileLayouts)
             randomStore(rng, 32, 1, geom.numContainers(), 120);
         runTrial(*array, store, rng,
                  "regfile seed " + std::to_string(seed));
+    }
+}
+
+TEST(SweepKernelFuzz, CacheInterleaveByFour)
+{
+    // Way- and index-physical interleaving x4: bit b of byte w sits
+    // at column (8w + b) * 4 + pick, and a row holds four lines.
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        Rng rng(splitMix64(0xca4e4, seed));
+        CacheGeometry geom;
+        geom.sets = 4u << rng.below(2);
+        geom.ways = 4u << rng.below(2);
+        geom.lineBytes = 2u << rng.below(2);
+        const CacheInterleave style = seed % 2
+                                          ? CacheInterleave::IndexPhysical
+                                          : CacheInterleave::WayPhysical;
+        auto array = makeCacheArray(geom, style, 4);
+        LifetimeStore store = randomStore(
+            rng, 8, geom.lineBytes, geom.numLines(), 120);
+        runTrial(*array, store, rng,
+                 "cache " + cacheInterleaveName(style) + " x4 seed " +
+                     std::to_string(seed));
+    }
+}
+
+TEST(SweepKernelFuzz, RegFileInterleaveByFourAndEight)
+{
+    // Intra- and inter-thread interleaving x4 and x8: bit b of a
+    // register sits at column b * I + pick, so a row of 32 * I
+    // columns spans two or four anchor words.
+    std::uint64_t seed = 0;
+    for (const bool intra : {true, false}) {
+        const RegInterleave style = intra ? RegInterleave::IntraThread
+                                          : RegInterleave::InterThread;
+        for (const unsigned factor : {4u, 8u}) {
+            for (unsigned rep = 0; rep < 2; ++rep, ++seed) {
+                Rng rng(splitMix64(0x2e948, seed));
+                RegFileGeometry geom;
+                geom.numRegs = 8;
+                geom.numLanes = 8;
+                geom.numSlots = 1 + rep;
+                auto array = makeRegFileArray(geom, style, factor);
+                LifetimeStore store =
+                    randomStore(rng, 32, 1, geom.numContainers(), 120);
+                runTrial(*array, store, rng,
+                         std::string(intra ? "intra x" : "inter x") +
+                             std::to_string(factor) + " seed " +
+                             std::to_string(seed));
+            }
+        }
+    }
+}
+
+TEST(SweepKernelFuzz, PermutedColumns)
+{
+    // Register-file and cache rows whose columns are shuffled: no
+    // word's bits sit at a fixed stride, and a region's members are
+    // scattered along the row.
+    RegFileGeometry regs;
+    regs.numRegs = 4;
+    regs.numLanes = 4;
+    regs.numSlots = 2;
+    CacheGeometry cache;
+    cache.sets = 4;
+    cache.ways = 4;
+    cache.lineBytes = 4;
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        Rng rng(splitMix64(0x9e7c015, seed));
+        const unsigned factor = 1u << rng.below(3);
+        std::unique_ptr<PhysicalArray> inner;
+        LifetimeStore store(8, 1);
+        if (seed % 2) {
+            const RegInterleave style = RegInterleave::InterThread;
+            inner = makeRegFileArray(regs, style, factor);
+            store = randomStore(rng, 32, 1, regs.numContainers(), 120);
+        } else {
+            const CacheInterleave style = CacheInterleave::WayPhysical;
+            inner = makeCacheArray(cache, style, factor);
+            store = randomStore(rng, 8, 4, cache.numLines(), 120);
+        }
+        PermutedArray array(std::move(inner), rng);
+        runTrial(array, store, rng,
+                 "permuted seed " + std::to_string(seed));
     }
 }
 
