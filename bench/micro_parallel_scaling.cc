@@ -3,7 +3,7 @@
  * Parallel-scaling microbenchmark for the shared execution layer.
  *
  * Measures the two fan-out shapes the pool serves — an 8-mode
- * sweepModes() over a structure's lifetimes, and an injection
+ * sweep of a structure's lifetime arena, and an injection
  * campaign batch (Campaign::runTrials) — at 1/2/4/N threads, and
  * checks that every thread count produces bit-identical AVF
  * fractions and per-trial outcomes.
@@ -101,8 +101,8 @@ main(int argc, char **argv)
         opt.numThreads = t == 1 ? 1 : 0;
 
         obs::Stopwatch watch;
-        ModeSweep sweep = sweepModes(*design.array, life.store,
-                                     *design.scheme, opt, job.modes);
+        ModeSweep sweep = sweepModesArena(*design.array, life.arena,
+                                          *design.scheme, opt, job.modes);
         double sweep_s = watch.restart();
 
         std::vector<InjectOutcome> outcomes =

@@ -165,7 +165,7 @@ main(int argc, char **argv)
         // change a single bit nor cost measurable sweep time.
         const std::string arena_path =
             "micro_sweep_" + name + ".arena.tmp";
-        saveArena(LifetimeArena(life.store), arena_path, life.horizon);
+        saveArena(life.arena, arena_path, life.horizon);
         std::string error;
         std::optional<LifetimeArena> disk_arena =
             tryLoadArena(arena_path, error);

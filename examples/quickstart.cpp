@@ -14,6 +14,7 @@
 
 #include "common/args.hh"
 #include "common/table.hh"
+#include "core/lifetime_arena.hh"
 #include "core/protection.hh"
 #include "core/sweep.hh"
 #include "workloads/ace_runner.hh"
@@ -44,6 +45,8 @@ main(int argc, char **argv)
     ParityScheme parity;
     MbAvfOptions opt;
     opt.horizon = run.horizon;
+    // Flatten the lifetimes once; every design sweeps the snapshot.
+    const LifetimeArena arena(run.l1);
 
     Table table({"interleave", "SB DUE", "2x1 DUE", "2x1 SDC",
                  "4x1 DUE", "4x1 SDC"});
@@ -52,7 +55,7 @@ main(int argc, char **argv)
                        CacheInterleave::IndexPhysical}) {
         auto array = makeCacheArray(geom, style, 2);
         // Modes 1x1..4x1 in one pass over the array.
-        ModeSweep sweep = sweepModes(*array, run.l1, parity, opt, 4);
+        ModeSweep sweep = sweepModesArena(*array, arena, parity, opt, 4);
         table.beginRow()
             .cell(cacheInterleaveName(style) + " x2")
             .cell(sweep.avf(1).due(), 4)

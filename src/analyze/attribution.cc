@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "core/lifetime_arena.hh"
 
 namespace mbavf::analyze
 {
@@ -18,7 +17,7 @@ AttributionResult::share(const TagContribution &c) const
 }
 
 AttributionResult
-attributeMbAvf(const PhysicalArray &array, const LifetimeStore &store,
+attributeMbAvf(const PhysicalArray &array, const LifetimeArena &arena,
                const ProtectionScheme &scheme, const FaultMode &mode,
                const MbAvfOptions &opt)
 {
@@ -33,12 +32,12 @@ attributeMbAvf(const PhysicalArray &array, const LifetimeStore &store,
     // attribution ignores windows.
     MbAvfOptions whole_run = opt;
     whole_run.numWindows = 0;
-    const LifetimeArena arena(store);
     TagCycles charges;
-    computeMbAvfModes(array, arena, scheme, whole_run, mode.size(),
-                      &charges);
+    std::vector<MbAvfResult> modes = computeMbAvfModes(
+        array, arena, scheme, whole_run, mode.size(), &charges);
 
     AttributionResult result;
+    result.mbavf = std::move(modes.back());
     result.horizon = opt.horizon;
     result.numGroups = mode.numGroups(array.rows(), array.cols());
     result.perTag.reserve(charges.size());
@@ -52,6 +51,14 @@ attributeMbAvf(const PhysicalArray &array, const LifetimeStore &store,
                   return a.tag < b.tag;
               });
     return result;
+}
+
+AttributionResult
+attributeMbAvf(const PhysicalArray &array, const LifetimeStore &store,
+               const ProtectionScheme &scheme, const FaultMode &mode,
+               const MbAvfOptions &opt)
+{
+    return attributeMbAvf(array, LifetimeArena(store), scheme, mode, opt);
 }
 
 std::vector<KernelContribution>

@@ -11,9 +11,16 @@
  * member bit's defining instruction, the InstrTag carried on the
  * member's active LifeSegment. Charging is a partition of the
  * group-cycle integral, so per-tag integer sums add up to the MB-AVF
- * raw totals *exactly*, per outcome class. checkConservation()
- * compares them bit-for-bit with computeMbAvf(), the independent
- * per-group reference sweep, so the check spans two engines.
+ * raw totals *exactly*, per outcome class.
+ *
+ * The same kernel call also returns the mode's MB-AVF. The kernel
+ * counts those class totals by popcount, and finds the charges by a
+ * separate first-member scan, so mbavf_analyze's checkConservation()
+ * of the per-tag sums against them catches a dropped or doubled
+ * charge without a second sweep. A fault in the class masks both
+ * share would pass that check; the tests catch it instead, against a
+ * brute-force per-tag oracle and against computeMbAvf(), the
+ * independent per-group reference engine.
  *
  * The charge rule is deterministic and causal: the charged member is
  * the first member in column order that exhibits the group's
@@ -44,6 +51,7 @@
 #include "core/fault_mode.hh"
 #include "core/layout.hh"
 #include "core/lifetime.hh"
+#include "core/lifetime_arena.hh"
 #include "core/mbavf.hh"
 #include "core/protection.hh"
 
@@ -84,15 +92,32 @@ struct AttributionResult
     std::uint64_t numGroups = 0;
     Cycle horizon = 0;
 
+    /**
+     * The mode's MB-AVF from the same kernel call, over the whole run
+     * (no windows): class totals counted apart from the charges.
+     */
+    MbAvfResult mbavf;
+
     /** Fraction of the total AVF charged to @p c (0 when AVF is 0). */
     double share(const TagContribution &c) const;
 };
 
 /**
  * Attribute the MB-AVF of @p mode on @p array under @p scheme to the
- * defining instructions recorded in @p store's segment tags. @p mode
+ * defining instructions recorded in @p arena's segment tags. @p mode
  * must be Mx1 (fatal otherwise). Windowing options are ignored;
  * threading options behave exactly as in computeMbAvf().
+ */
+AttributionResult attributeMbAvf(const PhysicalArray &array,
+                                 const LifetimeArena &arena,
+                                 const ProtectionScheme &scheme,
+                                 const FaultMode &mode,
+                                 const MbAvfOptions &opt);
+
+/**
+ * attributeMbAvf() on a snapshot of @p store, for callers that hold
+ * a store: the tests, micro_attribution_overhead and the perfbench
+ * harness (perfbench/harness/trace_harness.cc).
  */
 AttributionResult attributeMbAvf(const PhysicalArray &array,
                                  const LifetimeStore &store,
@@ -119,8 +144,10 @@ rollupByKernel(const AttributionResult &attr);
  * Conservation check: the attribution's per-class column sums (and
  * its perTag rows re-summed from scratch) must equal @p reference's
  * raw integer cycle totals exactly, and group count and horizon must
- * match. Returns the empty string when conserved, else a description
- * of the first violation.
+ * match. mbavf_analyze passes attr.mbavf, so it checks the sink
+ * against its own kernel call; the tests also pass computeMbAvf()'s
+ * result, the cross-engine check. Returns the empty string when
+ * conserved, else a description of the first violation.
  */
 std::string checkConservation(const AttributionResult &attr,
                               const MbAvfResult &reference);

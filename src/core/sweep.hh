@@ -48,12 +48,11 @@ ModeSweep sweepModes(const PhysicalArray &array,
                      unsigned max_mode = maxTabulatedMode);
 
 /**
- * Sweep a pre-built arena — the entry point for arenas mapped from
- * disk (core/arena_io.hh), which have no backing store to flatten,
- * and for the snapshot an --arena-out run saved. Always runs the
- * single-pass multi-mode kernel; results are bit-identical to
- * sweepModes() on the store the arena was built from, at any thread
- * count.
+ * Sweep a pre-built arena — what runSweep() does with the pipeline's
+ * one lifetime input, an arena mapped from disk (core/arena_io.hh)
+ * or the run's store flattened once. Always runs the single-pass
+ * multi-mode kernel; results are bit-identical to sweepModes() on
+ * the store the arena was built from, at any thread count.
  */
 ModeSweep sweepModesArena(const PhysicalArray &array,
                           const LifetimeArena &arena,

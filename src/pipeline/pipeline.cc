@@ -22,14 +22,16 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
                     "provides none";
             return false;
         }
+        std::optional<LifetimeArena> loaded;
         {
             obs::ObsPhase phase("arena.load");
-            out.arena = tryLoadArena(job.arenaIn, error, &out.horizon);
+            loaded = tryLoadArena(job.arenaIn, error, &out.horizon);
         }
-        if (!out.arena) {
+        if (!loaded) {
             error = "cannot load arena '" + job.arenaIn + "': " + error;
             return false;
         }
+        out.arena = std::move(*loaded);
         if (out.horizon == 0) {
             error = "arena '" + job.arenaIn +
                     "' records no producer horizon; re-save it with "
@@ -50,12 +52,13 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
         out.store = std::move(job.structure == "l2"     ? run.l2
                               : job.structure == "vgpr" ? run.vgpr
                                                         : run.l1);
+        obs::ObsPhase phase("arena.flatten");
+        out.arena = LifetimeArena(out.store);
     }
 
     // Guard against pairing saved lifetimes with the wrong
     // structure: VGPR stores are 32-bit words, cache stores 8-bit.
-    const unsigned width =
-        out.arena ? out.arena->wordWidth() : out.store.wordWidth();
+    const unsigned width = out.arena.wordWidth();
     const unsigned expected = job.structure == "vgpr" ? 32 : 8;
     if (width != expected) {
         error = "lifetime word width " + std::to_string(width) +
@@ -64,11 +67,8 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
     }
 
     if (!arena_out.empty()) {
-        // Flatten once: runSweep() reads this snapshot instead of
-        // flattening the store again.
         obs::ObsPhase phase("arena.write");
-        out.arena.emplace(out.store);
-        saveArena(*out.arena, arena_out, out.horizon);
+        saveArena(out.arena, arena_out, out.horizon);
     }
     return true;
 }
@@ -124,11 +124,8 @@ runSweep(const JobConfig &job, const Design &design,
          const Lifetimes &lifetimes)
 {
     SweepResult out;
-    out.sweep = lifetimes.arena
-        ? sweepModesArena(*design.array, *lifetimes.arena,
-                          *design.scheme, design.options, job.modes)
-        : sweepModes(*design.array, lifetimes.store, *design.scheme,
-                     design.options, job.modes);
+    out.sweep = sweepModesArena(*design.array, lifetimes.arena,
+                                *design.scheme, design.options, job.modes);
     out.ser = sweepSer(out.sweep, caseStudyFaultRates(job.totalFit));
     // The overhead is quoted per register or per cache line.
     const GpuConfig gpu;

@@ -40,24 +40,26 @@ struct Lifetimes
 {
     /** Horizon of the run the lifetimes come from. */
     Cycle horizon = 0;
-    /** The workload run's store; empty when read from an arena. */
+    /**
+     * The workload run's store, for the store-based lints and the
+     * reference engine; empty when read from an arena.
+     */
     LifetimeStore store{8, 64};
     /**
-     * The arena the sweep reads: the mapped job.arenaIn file, or the
-     * snapshot of store saved to --arena-out. Empty otherwise, and
-     * then the sweep flattens store itself.
+     * What every sweep and attribution reads: the mapped job.arenaIn
+     * file, or store flattened once. --arena-out saves this snapshot.
      */
-    std::optional<LifetimeArena> arena;
+    LifetimeArena arena;
     /** Cache statistics of the workload run (zero for arenas). */
     CacheStats l1Stats;
     CacheStats l2Stats;
 };
 
 /**
- * Read @p job's lifetimes: map job.arenaIn, or run job.workload with
- * the ACE probes and build job.structure's store only. A non-empty
- * @p arena_out flattens the store once into out.arena and saves that
- * snapshot to the arena file (core/arena_io.hh); @p capture, when
+ * Read @p job's lifetimes into @p out: map job.arenaIn, or run
+ * job.workload with the ACE probes, build job.structure's store only
+ * and flatten it once into out.arena. A non-empty @p arena_out saves
+ * out.arena to the arena file (core/arena_io.hh); @p capture, when
  * non-null, receives the run's program capture. False + @p error on
  * an unusable arena file, or when the lifetime word width does not
  * match the structure.

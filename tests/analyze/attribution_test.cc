@@ -3,10 +3,11 @@
  * Tests of the per-instruction MB-AVF attribution engine: the charge
  * rule on hand-built stores, the kernel rollup, the conservation
  * checker's violation detection, and a differential fuzz asserting
- * that attribution equals a brute-force per-tag oracle row for row
- * and conserves computeMbAvf()'s raw integer totals bit-for-bit over
- * random layouts (every interleave stride, and shuffled columns),
- * schemes, and modes — serially and on the thread pool.
+ * that attribution equals a brute-force per-tag oracle row for row,
+ * returns computeMbAvf()'s Mx1 result, and conserves its raw integer
+ * totals bit-for-bit over random layouts (every interleave stride,
+ * and shuffled columns), schemes, and modes — serially and on the
+ * thread pool.
  */
 
 #include <gtest/gtest.h>
@@ -471,6 +472,12 @@ conservationTrial(const PhysicalArray &array,
         EXPECT_EQ(analyze::checkConservation(serial, ref), "") << at;
         EXPECT_EQ(resum(serial), serial.cycles) << at;
         expectSameTable(oracle, serial.perTag, at);
+        // The Mx1 result the same kernel call returns is the reference
+        // engine's, and the sink conserves it, as mbavf_analyze checks.
+        EXPECT_EQ(serial.mbavf.cycles, ref.cycles) << at;
+        EXPECT_EQ(serial.mbavf.numGroups, ref.numGroups) << at;
+        EXPECT_EQ(analyze::checkConservation(serial, serial.mbavf), "")
+            << at;
 
         MbAvfOptions pooled = opt;
         pooled.numThreads = 4;

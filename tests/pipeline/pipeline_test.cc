@@ -1,12 +1,20 @@
 /**
  * @file
- * Tests for the pipeline's sweep: runSweep() folds its mode sweep
- * into the structure SER at the job's total FIT, and quotes the
- * scheme's area overhead on the structure's word.
+ * Tests for the pipeline: readLifetimes() leaves one arena, the
+ * snapshot of the run's store that --arena-out saves; runSweep()
+ * sweeps it bit-identically to a fresh snapshot and folds its mode
+ * sweep into the structure SER at the job's total FIT; attribution
+ * over it returns the Mx1 result of the per-group reference engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <string>
+
+#include "analyze/attribution.hh"
+#include "core/arena_io.hh"
 #include "gpu/gpu.hh"
 #include "pipeline/pipeline.hh"
 
@@ -14,6 +22,148 @@ namespace mbavf
 {
 namespace
 {
+
+/** Structural equality of two arenas, column by column. */
+void
+expectSameColumns(const LifetimeArena &a, const LifetimeArena &b)
+{
+    ASSERT_EQ(a.wordWidth(), b.wordWidth());
+    ASSERT_EQ(a.wordsPerContainer(), b.wordsPerContainer());
+    ASSERT_EQ(a.numWords(), b.numWords());
+    ASSERT_EQ(a.numSegments(), b.numSegments());
+    ASSERT_EQ(a.numContainers(), b.numContainers());
+    for (std::uint32_t w = 0; w < a.numWords(); ++w) {
+        ASSERT_EQ(a.offset(w), b.offset(w)) << "word " << w;
+        ASSERT_EQ(a.count(w), b.count(w)) << "word " << w;
+        ASSERT_EQ(a.wordContainer(w), b.wordContainer(w)) << "word " << w;
+        ASSERT_EQ(a.wordIndex(w), b.wordIndex(w)) << "word " << w;
+        ASSERT_EQ(b.findWord(a.wordContainer(w), a.wordIndex(w)), w);
+    }
+    for (std::size_t s = 0; s < a.numSegments(); ++s) {
+        ASSERT_EQ(a.begins()[s], b.begins()[s]) << "segment " << s;
+        ASSERT_EQ(a.ends()[s], b.ends()[s]) << "segment " << s;
+        ASSERT_EQ(a.masks()[s].ace, b.masks()[s].ace) << "segment " << s;
+        ASSERT_EQ(a.masks()[s].read, b.masks()[s].read) << "segment " << s;
+        ASSERT_EQ(a.tags()[s], b.tags()[s]) << "segment " << s;
+    }
+}
+
+/** Bit-exact equality of two results, window series included. */
+void
+expectSameResult(const MbAvfResult &a, const MbAvfResult &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.numGroups, b.numGroups);
+    EXPECT_EQ(a.horizon, b.horizon);
+    EXPECT_EQ(a.avf.sdc, b.avf.sdc);
+    EXPECT_EQ(a.avf.trueDue, b.avf.trueDue);
+    EXPECT_EQ(a.avf.falseDue, b.avf.falseDue);
+    ASSERT_EQ(a.windows.size(), b.windows.size());
+    for (std::size_t w = 0; w < a.windows.size(); ++w) {
+        EXPECT_EQ(a.windows[w].sdc, b.windows[w].sdc) << "window " << w;
+        EXPECT_EQ(a.windows[w].trueDue, b.windows[w].trueDue)
+            << "window " << w;
+        EXPECT_EQ(a.windows[w].falseDue, b.windows[w].falseDue)
+            << "window " << w;
+    }
+}
+
+/** A histogram job on @p structure with a multi-mode, windowed sweep. */
+JobConfig
+histogramJob(const std::string &structure)
+{
+    JobConfig job;
+    job.workload = "histogram";
+    job.structure = structure;
+    job.scheme = "parity";
+    job.modes = 6;
+    job.windows = 4;
+    return job;
+}
+
+class PipelineArena : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(PipelineArena, ReadLifetimesLeavesTheStoreSnapshot)
+{
+    const JobConfig job = histogramJob(GetParam());
+    std::string error;
+    ASSERT_TRUE(validateJob(job, error)) << error;
+    Lifetimes lifetimes;
+    ASSERT_TRUE(readLifetimes(job, "", lifetimes, error)) << error;
+    ASSERT_GT(lifetimes.arena.numSegments(), 0u);
+    expectSameColumns(LifetimeArena(lifetimes.store), lifetimes.arena);
+}
+
+TEST_P(PipelineArena, ArenaOutSavesTheSameColumns)
+{
+    const JobConfig job = histogramJob(GetParam());
+    const std::string path = ::testing::TempDir() +
+                             "pipeline_arena_out_" + GetParam() +
+                             ".arena";
+    std::string error;
+    Lifetimes lifetimes;
+    ASSERT_TRUE(readLifetimes(job, path, lifetimes, error)) << error;
+    Cycle horizon = 0;
+    const std::optional<LifetimeArena> saved =
+        tryLoadArena(path, error, &horizon);
+    std::remove(path.c_str());
+    ASSERT_TRUE(saved) << error;
+    EXPECT_EQ(horizon, lifetimes.horizon);
+    expectSameColumns(LifetimeArena(lifetimes.store), *saved);
+}
+
+TEST_P(PipelineArena, RunSweepEqualsTheSnapshotSweep)
+{
+    const JobConfig job = histogramJob(GetParam());
+    std::string error;
+    Lifetimes lifetimes;
+    ASSERT_TRUE(readLifetimes(job, "", lifetimes, error)) << error;
+    const Design design = makeDesign(job, lifetimes.horizon);
+
+    const SweepResult result = runSweep(job, design, lifetimes);
+    const ModeSweep snapshot =
+        sweepModesArena(*design.array, LifetimeArena(lifetimes.store),
+                        *design.scheme, design.options, job.modes);
+    ASSERT_EQ(result.sweep.results.size(), job.modes);
+    ASSERT_EQ(snapshot.results.size(), job.modes);
+    EXPECT_GT(result.sweep.avf(1).total(), 0.0);
+    for (unsigned m = 0; m < job.modes; ++m) {
+        SCOPED_TRACE("mode " + std::to_string(m + 1));
+        expectSameResult(snapshot.results[m], result.sweep.results[m]);
+    }
+}
+
+TEST_P(PipelineArena, AttributionReturnsTheReferenceResult)
+{
+    const JobConfig job = histogramJob(GetParam());
+    std::string error;
+    Lifetimes lifetimes;
+    ASSERT_TRUE(readLifetimes(job, "", lifetimes, error)) << error;
+    const Design design = makeDesign(job, lifetimes.horizon);
+
+    for (const unsigned m : {1u, 4u}) {
+        SCOPED_TRACE("mode " + std::to_string(m) + "x1");
+        const FaultMode mode = FaultMode::mx1(m);
+        const analyze::AttributionResult attr = analyze::attributeMbAvf(
+            *design.array, lifetimes.arena, *design.scheme, mode,
+            design.options);
+        // Attribution sweeps the whole run: no window series.
+        MbAvfOptions whole_run = design.options;
+        whole_run.numWindows = 0;
+        const MbAvfResult reference =
+            computeMbAvf(*design.array, lifetimes.store, *design.scheme,
+                         mode, whole_run);
+        EXPECT_GT(reference.avf.total(), 0.0);
+        expectSameResult(reference, attr.mbavf);
+        EXPECT_EQ(analyze::checkConservation(attr, attr.mbavf), "");
+        EXPECT_EQ(analyze::checkConservation(attr, reference), "");
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Structures, PipelineArena,
+                         ::testing::Values("l1", "vgpr"),
+                         [](const auto &info) { return info.param; });
 
 TEST(Sweep, OneCallSerMatchesManual)
 {
@@ -35,6 +185,7 @@ TEST(Sweep, OneCallSerMatchesManual)
                 {10 * line, 500 + 20 * line, 0xFF, 0xFF});
         }
     }
+    lifetimes.arena = LifetimeArena(lifetimes.store);
 
     const SweepResult result = runSweep(
         job, makeDesign(job, lifetimes.horizon), lifetimes);

@@ -12,13 +12,15 @@
  *    flow.overwrite, flow.uninit-read (analyze/passes.hh).
  * 2. Protection-coverage lint over the chosen structure's layout:
  *    domain.uncovered, domain.mode-undetectable.
- * 3. Per-instruction MB-AVF attribution (analyze/attribution.hh):
- *    every non-unACE group-cycle of the chosen fault mode is charged
- *    to the static instruction whose write produced the data at
- *    risk, and the conservation checker asserts the per-instruction
- *    integer sums equal the reference computeMbAvf() totals exactly
- *    — bit-for-bit at any --threads. A conservation violation
- *    reports as attr.conservation.
+ * 3. Per-instruction MB-AVF attribution (analyze/attribution.hh)
+ *    over the pipeline's arena: every non-unACE group-cycle of the
+ *    chosen fault mode is charged to the static instruction whose
+ *    write produced the data at risk, and the conservation checker
+ *    asserts the per-instruction integer sums equal the class totals
+ *    the same kernel call counts apart from its charges — exactly,
+ *    at any --threads. A conservation violation reports as
+ *    attr.conservation. The tests tie the kernel to the per-group
+ *    reference engine; this tool runs no second sweep.
  *
  * Exit codes: 0 = clean, 1 = usage error or unusable input,
  * 2 = findings. (Deliberate deviation from mbavf_lint, which exits
@@ -202,6 +204,7 @@ main(int argc, char **argv)
         std::cerr << "mbavf_analyze: " << error << "\n";
         return 1;
     }
+    // The coverage lint reads the store; attribution sweeps the arena.
     const LifetimeStore &life = lifetimes.store;
     const Cycle horizon = lifetimes.horizon;
 
@@ -270,10 +273,8 @@ main(int argc, char **argv)
 
     // --- Layer 3: attribution + conservation -------------------------
     const FaultMode mode = FaultMode::mx1(mode_size);
-    MbAvfResult reference =
-        computeMbAvf(array, life, scheme, mode, design.options);
     analyze::AttributionResult attr = analyze::attributeMbAvf(
-        array, life, scheme, mode, design.options);
+        array, lifetimes.arena, scheme, mode, design.options);
 
     if (corruption == "conservation") {
         // One stray cycle breaks the partition; the checker must see
@@ -286,7 +287,7 @@ main(int argc, char **argv)
         attr.perTag.front().cycles[analyze::attrSdc] += 1;
     }
     const std::string violation =
-        analyze::checkConservation(attr, reference);
+        analyze::checkConservation(attr, attr.mbavf);
     if (!violation.empty()) {
         report.error("attr.conservation",
                      job.structure + " " + scheme.name() + " " +

@@ -399,8 +399,8 @@ runSweepCli(const Args &args, const JobConfig &job)
     const Cycle horizon = lifetimes.horizon;
     if (!job.arenaIn.empty()) {
         std::cout << "mapped arena from " << job.arenaIn << " ("
-                  << lifetimes.arena->numWords() << " word(s), "
-                  << lifetimes.arena->numSegments()
+                  << lifetimes.arena.numWords() << " word(s), "
+                  << lifetimes.arena.numSegments()
                   << " segment(s), horizon " << horizon << ")\n";
     } else if (!manifest_path.empty()) {
         obs::JsonValue caches = obs::JsonValue::object();
