@@ -231,6 +231,22 @@ struct Differ
         }
     }
 
+    /** The entry of @p list whose "name" equals @p entry's, or null. */
+    static const JsonValue *
+    namedEntry(const JsonValue &list, const JsonValue &entry)
+    {
+        const JsonValue *name = entry.find("name");
+        if (!name || !name->isString())
+            return nullptr;
+        for (const JsonValue &candidate : list.items()) {
+            const JsonValue *other = candidate.find("name");
+            if (other && other->isString() &&
+                other->asString() == name->asString())
+                return &candidate;
+        }
+        return nullptr;
+    }
+
     /** Inside /phases and /env: only seconds, only with perfTol. */
     void
     compareTiming(const std::string &path, const JsonValue &a,
@@ -257,11 +273,13 @@ struct Differ
             }
         }
         if (a.isArray() && b.isArray()) {
-            const std::size_t n =
-                std::min(a.items().size(), b.items().size());
-            for (std::size_t i = 0; i < n; ++i) {
-                compareTiming(path + "/" + std::to_string(i),
-                              a.items()[i], b.items()[i]);
+            // Phase entries pair by name, never by position: a phase
+            // only one side recorded has nothing to drift from, and
+            // must not shift its neighbours onto unrelated phases.
+            for (std::size_t i = 0; i < a.items().size(); ++i) {
+                if (const JsonValue *other = namedEntry(b, a.items()[i]))
+                    compareTiming(path + "/" + std::to_string(i),
+                                  a.items()[i], *other);
             }
         }
         if (a.isObject() && b.isObject()) {

@@ -9,6 +9,7 @@
  * - "phases" and "env" are perf/context data. Their values are never
  *   structural drift; with perfTol >= 0 a phase's seconds drifting
  *   by more than perfTol (relative) is reported as perf drift.
+ *   Phases pair by name; a phase only one run recorded is skipped.
  * - An object of shape {count, rate, ci_low, ci_high} is a campaign
  *   rate: the two runs drift only when their Wilson intervals are
  *   disjoint — statistically incompatible, not merely resampled.

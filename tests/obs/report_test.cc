@@ -2,8 +2,8 @@
  * @file
  * diffManifests / mergeManifests tests: the drift-vs-structure
  * split, rate objects compared by Wilson-interval overlap, the
- * phases/env perf carve-out, and structure-only mode CI uses
- * against golden manifests.
+ * phases/env perf carve-out (phases paired by name), and
+ * structure-only mode CI uses against golden manifests.
  */
 
 #include <gtest/gtest.h>
@@ -203,6 +203,39 @@ TEST(ReportTest, PerfTolFlagsPhaseDrift)
     // Within tolerance: 1.0 vs 1.2 at 50%.
     b.find("phases")->items()[0].set("seconds", JsonValue(1.2));
     EXPECT_TRUE(obs::diffManifests(a, b, perf).clean());
+}
+
+TEST(ReportTest, PerfTolSkipsAPhaseOnlyOneSideRecorded)
+{
+    // A phase new in the candidate that sorts ahead of the others
+    // has no counterpart; it must not be timed against the
+    // reference's first phase.
+    JsonValue a = baseManifest();
+    JsonValue b = baseManifest();
+    b.set("phases", parse(R"([
+        {"name": "a.new", "seconds": 0.001, "count": 1},
+        {"name": "p", "seconds": 1.0, "count": 1}])"));
+    obs::DiffOptions perf;
+    perf.perfTol = 0.5;
+    EXPECT_TRUE(obs::diffManifests(a, b, perf).clean());
+    EXPECT_TRUE(obs::diffManifests(b, a, perf).clean());
+}
+
+TEST(ReportTest, PerfTolPairsPhasesByName)
+{
+    // The same phase 20x slower drifts wherever it sits in the list.
+    JsonValue a = baseManifest();
+    JsonValue b = baseManifest();
+    b.set("phases", parse(R"([
+        {"name": "a.new", "seconds": 1.0, "count": 1},
+        {"name": "p", "seconds": 20.0, "count": 1}])"));
+    obs::DiffOptions perf;
+    perf.perfTol = 0.5;
+    obs::DiffResult result = obs::diffManifests(a, b, perf);
+    EXPECT_TRUE(result.drifted) << joinNotes(result);
+    EXPECT_NE(joinNotes(result).find("(p)"), std::string::npos)
+        << joinNotes(result);
+    EXPECT_TRUE(obs::diffManifests(b, a, perf).drifted);
 }
 
 TEST(ReportTest, StructureOnlyIgnoresValues)
