@@ -86,7 +86,8 @@ inline void
 configureThreads(const Args &args)
 {
     if (args.has("threads"))
-        setParallelThreads(unsignedFlag(args, "threads", 0));
+        setParallelThreads(
+            unsignedFlag(args, "threads", 0, 0, maxParallelThreads));
 }
 
 /**

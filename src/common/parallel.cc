@@ -152,9 +152,11 @@ class Pool
             return 0;
         char *end = nullptr;
         long v = std::strtol(env, &end, 10);
-        if (end == env || *end != '\0' || v < 0)
-            fatal("MBAVF_THREADS must be a nonnegative integer, got '",
-                  env, "'");
+        if (end == env || *end != '\0' || v < 0 ||
+            v > long(maxParallelThreads)) {
+            fatal("MBAVF_THREADS must be an integer in [0, ",
+                  maxParallelThreads, "], got '", env, "'");
+        }
         return static_cast<unsigned>(v);
     }
 

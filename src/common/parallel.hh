@@ -21,9 +21,9 @@
  * not associative-commutative in floating point.
  *
  * Nesting is safe: a pool worker may itself call parallelFor() (the
- * mode sweep does — each mode task fans out row-band tasks). Waiting
- * threads help drain the queue instead of blocking, so nested batches
- * always make progress.
+ * lifetime finalize does — each store's task fans out over its
+ * containers). Waiting threads help drain the queue instead of
+ * blocking, so nested batches always make progress.
  */
 
 #ifndef MBAVF_COMMON_PARALLEL_HH
@@ -50,6 +50,12 @@ unsigned parallelThreads();
  * runs, so a resized pool's fresh workers get fresh ids.
  */
 unsigned parallelWorkerId();
+
+/**
+ * Largest pool width a --threads flag or MBAVF_THREADS may ask for;
+ * the tools reject a larger value before the pool grows.
+ */
+constexpr unsigned maxParallelThreads = 4096;
 
 /**
  * Resize the pool to @p n total threads (0 = the MBAVF_THREADS /

@@ -192,7 +192,7 @@ main(int argc, char **argv)
         return 1;
     }
     setParallelThreads(static_cast<unsigned>(
-        args.getIntInRange("threads", 1, 0, uint_max)));
+        args.getIntInRange("threads", 1, 0, maxParallelThreads)));
 
     const std::string manifest_path = args.getString("manifest", "");
     obs::Manifest manifest("mbavf_analyze");

@@ -198,8 +198,10 @@ runCampaignCli(const Args &args, const JobConfig &job)
               "' already exists; use --resume to continue it or "
               "remove it first");
     }
+    constexpr std::int64_t int64_max =
+        std::numeric_limits<std::int64_t>::max();
     const std::uint64_t every = static_cast<std::uint64_t>(
-        args.getInt("checkpoint-every", 64));
+        args.getIntInRange("checkpoint-every", 64, 0, int64_max));
     const std::string manifest_path = args.getString("manifest", "");
     const std::string trace_path = args.getString("trace-out", "");
     enableObsSinks(manifest_path, trace_path);
@@ -508,8 +510,8 @@ main(int argc, char **argv)
 
     // 0 = all hardware threads; unset = MBAVF_THREADS or hardware.
     if (args.has("threads")) {
-        setParallelThreads(static_cast<unsigned>(args.getIntInRange(
-            "threads", 0, 0, std::numeric_limits<unsigned>::max())));
+        setParallelThreads(static_cast<unsigned>(
+            args.getIntInRange("threads", 0, 0, maxParallelThreads)));
     }
 
     const JobConfig job = jobFromArgs(args);

@@ -49,6 +49,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <limits>
 #include <optional>
 
 #include "check/arena_lint.hh"
@@ -58,6 +59,7 @@
 #include "check/report.hh"
 #include "common/args.hh"
 #include "core/arena_io.hh"
+#include "core/mbavf_kernel.hh"
 #include "inject/journal.hh"
 #include "obs/build_info.hh"
 #include "serve/cache.hh"
@@ -81,7 +83,8 @@ usage()
         "       mbavf_lint --geometry-only\n\n"
         "options:\n"
         "  --scale=N            workload problem-size multiplier\n"
-        "  --modes=M            geometry lint covers 1x1..Mx1 (4)\n"
+        "  --modes=M            geometry lint covers 1x1..Mx1, M in\n"
+        "                       1..64 (4)\n"
         "  --arena              also lint the flattened LifetimeArena\n"
         "                       of every linted store\n"
         "  --arena=FILE         lint an arena file written by\n"
@@ -221,11 +224,19 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // Integer flags are range-checked before anything is linted.
+    constexpr std::int64_t uint_max = std::numeric_limits<unsigned>::max();
+    const auto max_findings = static_cast<std::size_t>(
+        args.getIntInRange("max-findings", 16, 0, uint_max));
+    const auto max_mode = static_cast<unsigned>(
+        args.getIntInRange("modes", 4, 1, detail::maxModeBits));
+    const auto scale =
+        static_cast<unsigned>(args.getIntInRange("scale", 1, 0, uint_max));
+
     const std::string journal_path = args.getString("journal", "");
     if (!journal_path.empty()) {
         CheckReport report;
-        report.setPerCodeLimit(static_cast<std::size_t>(
-            args.getInt("max-findings", 16)));
+        report.setPerCodeLimit(max_findings);
         lintCampaignJournal(journal_path, report);
         // An unreadable or headerless file is unusable input, not a
         // lint finding about a valid journal.
@@ -240,8 +251,7 @@ main(int argc, char **argv)
     const std::string queue_path = args.getString("queue-journal", "");
     if (!queue_path.empty()) {
         CheckReport report;
-        report.setPerCodeLimit(static_cast<std::size_t>(
-            args.getInt("max-findings", 16)));
+        report.setPerCodeLimit(max_findings);
         serve::lintQueueJournal(queue_path, report);
         // An unreadable file or a broken header leaves nothing to
         // lint — that is unusable input, not a finding.
@@ -259,8 +269,7 @@ main(int argc, char **argv)
     const std::string cache_dir = args.getString("cache", "");
     if (!cache_dir.empty() && cache_dir != "1") {
         CheckReport report;
-        report.setPerCodeLimit(static_cast<std::size_t>(
-            args.getInt("max-findings", 16)));
+        report.setPerCodeLimit(max_findings);
         const std::size_t entries =
             serve::lintResultCache(cache_dir, report);
         if (report.has("cache.io")) {
@@ -298,12 +307,8 @@ main(int argc, char **argv)
                      "needs --arena=FILE\n";
         return 2;
     }
-    const unsigned max_mode =
-        static_cast<unsigned>(args.getInt("modes", 4));
-
     CheckReport report;
-    report.setPerCodeLimit(
-        static_cast<std::size_t>(args.getInt("max-findings", 16)));
+    report.setPerCodeLimit(max_findings);
 
     if (!arena_file.empty()) {
         std::string load_path = arena_file;
@@ -385,8 +390,7 @@ main(int argc, char **argv)
     }
 
     AceRunOptions options;
-    options.scale =
-        static_cast<unsigned>(args.getInt("scale", 1));
+    options.scale = scale;
     options.stores = AceStore::L1 | AceStore::Vgpr | AceStore::L2;
 
     CacheTraceRecorder l1_recorder({options.config.l1.sets,

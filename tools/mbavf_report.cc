@@ -47,6 +47,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "common/args.hh"
@@ -185,7 +186,7 @@ runMerge(const std::string &dir, const std::string &out_path)
  * section (it is some other tool's manifest).
  */
 int
-runRank(const std::string &path, const Args &args)
+runRank(const std::string &path, std::uint64_t limit)
 {
     const obs::JsonValue doc = loadManifestOrDie(path);
     const obs::JsonValue *attr = doc.find("attribution");
@@ -221,9 +222,6 @@ runRank(const std::string &path, const Args &args)
                   << ": attribution section has no top array\n";
         return 2;
     }
-    const std::uint64_t limit = static_cast<std::uint64_t>(
-        args.getInt("top", std::int64_t(top->items().size())));
-
     Table table({"rank", "kernel", "pc", "SDC", "trueDUE",
                  "falseDUE", "share"});
     std::uint64_t rank = 0;
@@ -286,7 +284,7 @@ runRank(const std::string &path, const Args &args)
  * section.
  */
 int
-runStrata(const std::string &path, const Args &args)
+runStrata(const std::string &path, std::uint64_t limit)
 {
     const obs::JsonValue doc = loadManifestOrDie(path);
 
@@ -361,9 +359,6 @@ runStrata(const std::string &path, const Args &args)
                          const obs::JsonValue *b) {
                          return trialsOf(a) > trialsOf(b);
                      });
-    const std::uint64_t limit = static_cast<std::uint64_t>(
-        args.getInt("top", std::int64_t(rows.size())));
-
     Table table({"class", "window", "weight", "predicted", "trials",
                  "sdc", "note"});
     std::uint64_t shown = 0;
@@ -468,6 +463,12 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // --top=N caps the ranked tables; unset shows every row.
+    constexpr std::int64_t int64_max =
+        std::numeric_limits<std::int64_t>::max();
+    const auto top = static_cast<std::uint64_t>(
+        args.getIntInRange("top", int64_max, 0, int64_max));
+
     const std::string merge_dir = args.getString("merge", "");
     if (!merge_dir.empty())
         return runMerge(merge_dir, args.getString("out", ""));
@@ -482,14 +483,14 @@ main(int argc, char **argv)
             usage();
             return 2;
         }
-        return runRank(files[0], args);
+        return runRank(files[0], top);
     }
     if (args.getBool("strata")) {
         if (files.size() != 1) {
             usage();
             return 2;
         }
-        return runStrata(files[0], args);
+        return runStrata(files[0], top);
     }
     if (args.getBool("diff")) {
         if (files.size() != 2) {

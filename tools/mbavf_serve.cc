@@ -30,6 +30,7 @@
 #include <unistd.h>
 
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/args.hh"
@@ -119,7 +120,7 @@ main(int argc, char **argv)
 
     if (args.has("threads")) {
         const unsigned threads = static_cast<unsigned>(
-            args.getIntInRange("threads", 0, 0, 4096));
+            args.getIntInRange("threads", 0, 0, maxParallelThreads));
         setParallelThreads(threads);
     }
 
@@ -128,10 +129,11 @@ main(int argc, char **argv)
         const std::string out = args.getString("out", "");
         if (!args.has("shard") || out.empty())
             fatal("--worker needs --shard=N and --out=FILE");
-        return serve::runWorker(
-            spec_path,
-            static_cast<std::uint64_t>(args.getInt("shard", 0)),
-            out);
+        constexpr std::int64_t int64_max =
+            std::numeric_limits<std::int64_t>::max();
+        const auto shard = static_cast<std::uint64_t>(
+            args.getIntInRange("shard", 0, 0, int64_max));
+        return serve::runWorker(spec_path, shard, out);
     }
 
     serve::ServeOptions options;
@@ -143,7 +145,7 @@ main(int argc, char **argv)
     options.workers = static_cast<unsigned>(
         args.getIntInRange("workers", 1, 1, 1024));
     options.threadsPerWorker = static_cast<unsigned>(
-        args.getIntInRange("threads", 0, 0, 4096));
+        args.getIntInRange("threads", 0, 0, maxParallelThreads));
     options.shardTimeoutSeconds =
         args.getDouble("shard-timeout", 0.0);
     options.maxAttempts = static_cast<unsigned>(
