@@ -1,16 +1,15 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the analysis kernels: interval
- * algebra, the backward lifetime builder, and the MB-AVF group
- * sweep. These bound the cost of scaling MB-AVF analysis to larger
- * structures and longer runs.
+ * google-benchmark microbenchmarks of the analysis kernels: the
+ * backward lifetime builder and the reference per-mode MB-AVF group
+ * sweep (computeMbAvf). These bound the cost of scaling MB-AVF
+ * analysis to larger structures and longer runs.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "common/interval_set.hh"
 #include "common/rng.hh"
 #include "core/layout.hh"
 #include "core/lifetime_builder.hh"
@@ -21,42 +20,6 @@ namespace mbavf
 {
 namespace
 {
-
-void
-BM_IntervalSetAdd(benchmark::State &state)
-{
-    Rng rng(42);
-    std::vector<std::pair<Cycle, Cycle>> spans;
-    for (int i = 0; i < 1000; ++i) {
-        Cycle b = rng.below(100000);
-        spans.emplace_back(b, b + rng.below(50));
-    }
-    for (auto _ : state) {
-        IntervalSet s;
-        for (auto [b, e] : spans)
-            s.add(b, e);
-        benchmark::DoNotOptimize(s.totalLength());
-    }
-}
-BENCHMARK(BM_IntervalSetAdd);
-
-void
-BM_IntervalSetUnion(benchmark::State &state)
-{
-    Rng rng(7);
-    IntervalSet a, b;
-    for (int i = 0; i < 500; ++i) {
-        Cycle x = rng.below(100000);
-        a.add(x, x + 20);
-        Cycle y = rng.below(100000);
-        b.add(y, y + 20);
-    }
-    for (auto _ : state) {
-        IntervalSet u = a.unionWith(b);
-        benchmark::DoNotOptimize(u.size());
-    }
-}
-BENCHMARK(BM_IntervalSetUnion);
 
 void
 BM_LifetimeBuilder(benchmark::State &state)

@@ -3,8 +3,9 @@
  * Trial-reduction gate for the two-level stratified estimator
  * (DESIGN.md Section 16, inject/stratified.hh).
  *
- * Runs the same injected-trial budget B twice over one workload:
- * uniform sampling, and the importance-sampled stratified campaign.
+ * Runs the same injected-trial budget B twice over one workload, each
+ * time as a campaign job through the tools' TrialPlan: uniform
+ * sampling, and the importance-sampled stratified campaign.
  * The stratified combined SDC interval is converted into the number
  * of uniform trials that would be needed for the same width
  * (effectiveUniformTrials), and the harness reports
@@ -27,11 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "common/parallel.hh"
 #include "common/stats.hh"
-#include "inject/campaign.hh"
-#include "inject/stratified.hh"
-#include "obs/stopwatch.hh"
 
 using namespace mbavf;
 
@@ -54,27 +51,29 @@ main(int argc, char **argv)
     BenchReporter bench("micro_stratified_campaign", &args);
     configureThreads(args);
 
-    const std::string workload = args.getString("workload", "minife");
-    const unsigned scale = unsignedFlag(args, "scale", 1);
+    JobConfig job;
+    job.type = JobType::Campaign;
+    job.workload = args.getString("workload", "minife");
+    job.scale = unsignedFlag(args, "scale", 1);
     constexpr std::int64_t int64_max =
         std::numeric_limits<std::int64_t>::max();
     const std::uint64_t budget = static_cast<std::uint64_t>(
         args.getIntInRange("budget", 300, 1, int64_max));
-    const std::uint64_t seed = static_cast<std::uint64_t>(
+    job.seed = static_cast<std::uint64_t>(
         args.getIntInRange("seed", 5, 0, int64_max));
     const double min_reduction =
         args.getDouble("min-trial-reduction", 0.0);
+    job.stratify = true;
+    job.stratifyWindows = unsignedFlag(args, "windows", 8);
+    job.stratifyClasses = unsignedFlag(args, "classes", 64);
+    job.budget = budget;
+    std::string error;
+    if (!validateJob(job, error))
+        fatal(error);
 
-    StratifyOptions options;
-    options.windows = unsignedFlag(args, "windows", 8);
-    options.maxClasses = unsignedFlag(args, "classes", 64);
-
-    note("golden run of " + workload);
-    Campaign campaign(workload, scale, GpuConfig{});
-
-    note("level one: ACE partition");
-    const Stratification strat =
-        Stratification::build(campaign, options);
+    note("golden run of " + job.workload + ", level one: ACE partition");
+    const TrialPlan stratified(job);
+    const Stratification &strat = *stratified.stratification();
     note("partition: " +
          std::to_string(strat.strata().size()) + " strata, " +
          std::to_string(100.0 * strat.skippedWeight()) +
@@ -82,32 +81,24 @@ main(int argc, char **argv)
 
     note("level two: " + std::to_string(budget) +
          " stratified trials");
-    const std::vector<Stratification::Pick> picks =
-        strat.picks(0, budget);
-    std::vector<TrialResult> results(picks.size());
-    runTasks(picks.size(), [&](std::size_t i) {
-        results[i] = campaign.runOne(strat.trialSpec(picks[i], seed));
-    });
-    std::vector<StratumTally> tallies(strat.strata().size());
-    for (std::size_t i = 0; i < picks.size(); ++i) {
-        StratumTally &tally = tallies[picks[i].stratum];
-        ++tally.trials;
-        ++tally.counts[static_cast<std::size_t>(results[i].outcome)];
-    }
+    CampaignTallies strat_tallies = stratified.emptyTallies();
+    stratified.run(0, budget, strat_tallies);
     const WilsonInterval strat_sdc =
-        strat.combinedInterval(tallies, InjectOutcome::Sdc);
+        strat.combinedInterval(strat_tallies.strata, InjectOutcome::Sdc);
 
     note("reference: " + std::to_string(budget) +
          " uniform trials");
-    CampaignTally uniform;
-    for (const TrialResult &result : campaign.runTrialsDetailed(
-             0, static_cast<std::size_t>(budget), seed,
-             TrialKind::Register))
-        uniform.add(result);
+    JobConfig uniform_job = job;
+    uniform_job.stratify = false;
+    uniform_job.budget = 0;
+    uniform_job.trials = budget;
+    const TrialPlan uniform(uniform_job);
+    CampaignTallies uniform_tallies = uniform.emptyTallies();
+    uniform.run(0, budget, uniform_tallies);
     const WilsonInterval uniform_sdc =
-        uniform.rate(InjectOutcome::Sdc);
+        uniform_tallies.flat.rate(InjectOutcome::Sdc);
 
-    const std::uint64_t injected = picks.size();
+    const std::uint64_t injected = strat_tallies.flat.total();
     const double width = strat_sdc.high - strat_sdc.low;
     const std::uint64_t effective =
         injected == 0
@@ -138,10 +129,10 @@ main(int argc, char **argv)
         .cell(effective);
     bench.emit(table);
 
-    bench.meta("workload", obs::JsonValue(workload));
-    bench.meta("scale", obs::JsonValue(std::uint64_t(scale)));
+    bench.meta("workload", obs::JsonValue(job.workload));
+    bench.meta("scale", obs::JsonValue(std::uint64_t(job.scale)));
     bench.meta("budget", obs::JsonValue(budget));
-    bench.meta("seed", obs::JsonValue(seed));
+    bench.meta("seed", obs::JsonValue(job.seed));
     bench.meta("skipped_weight",
                obs::JsonValue(strat.skippedWeight()));
     bench.meta("effective_trials", obs::JsonValue(effective));

@@ -7,7 +7,8 @@
  *
  *   ref     max_mode independent computeMbAvf walks over the store,
  *           one per mode
- *   kernel  the single-pass bit-sliced arena kernel
+ *   kernel  the store flattened into an arena and swept once by the
+ *           single-pass bit-sliced kernel
  *   mmap    the kernel again, sweeping an arena persisted with
  *           core/arena_io.hh and mapped back from disk
  *
@@ -71,8 +72,9 @@ sameSweep(const ModeSweep &a, const ModeSweep &b)
 }
 
 /**
- * Best-of-@p repeats wall time, seconds, of one sweepModes() call, or
- * with @p reference of one computeMbAvf() per mode.
+ * Best-of-@p repeats wall time, seconds, of flattening @p store into
+ * an arena and sweeping it once, or with @p reference of one
+ * computeMbAvf() per mode.
  */
 double
 timeSweep(const PhysicalArray &array, const LifetimeStore &store,
@@ -85,7 +87,8 @@ timeSweep(const PhysicalArray &array, const LifetimeStore &store,
         obs::Stopwatch watch;
         ModeSweep sweep;
         if (!reference) {
-            sweep = sweepModes(array, store, scheme, opt, max_mode);
+            sweep = sweepModesArena(array, LifetimeArena(store), scheme,
+                                    opt, max_mode);
         } else {
             for (unsigned m = 1; m <= max_mode; ++m) {
                 sweep.results.push_back(computeMbAvf(

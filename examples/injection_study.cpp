@@ -19,8 +19,6 @@
 #include "common/args.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "gpu/gpu.hh"
-#include "inject/campaign.hh"
 #include "pipeline/pipeline.hh"
 
 using namespace mbavf;
@@ -56,16 +54,21 @@ main(int argc, char **argv)
     double predicted =
         runSweep(job, makeDesign(job, life.horizon), life).sweep.avf(1).sdc;
 
-    // Injection campaign measurement: n independent trials executed
-    // concurrently on the shared pool, trial t seeded from
-    // splitMix64(seed, t) so the study is reproducible at any
-    // thread count.
-    Campaign campaign(workload, 1, GpuConfig{});
-    std::vector<InjectOutcome> outcomes =
-        campaign.runTrials(n, seed, TrialKind::Register);
-    unsigned sdc = 0;
-    for (InjectOutcome outcome : outcomes)
-        sdc += outcome == InjectOutcome::Sdc;
+    // Injection campaign measurement: the tools' trial plan runs n
+    // independent trials concurrently on the shared pool, trial t
+    // seeded from splitMix64(seed, t), so the study is reproducible
+    // at any thread count.
+    JobConfig campaign_job;
+    campaign_job.type = JobType::Campaign;
+    campaign_job.workload = workload;
+    campaign_job.trials = n;
+    campaign_job.seed = seed;
+    if (!validateJob(campaign_job, error))
+        fatal(error);
+    const TrialPlan plan(campaign_job);
+    CampaignTallies tallies = plan.emptyTallies();
+    plan.run(0, n, tallies);
+    const std::uint64_t sdc = tallies.flat.count(InjectOutcome::Sdc);
     double measured = static_cast<double>(sdc) / n;
 
     Table table({"quantity", "value"});
@@ -76,7 +79,7 @@ main(int argc, char **argv)
         .cell(measured, 4);
     table.beginRow()
         .cell("injections causing SDC")
-        .cell(std::uint64_t(sdc));
+        .cell(sdc);
     table.printText(std::cout);
 
     std::cout << "\nACE analysis proves state unACE and assumes the "

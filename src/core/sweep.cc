@@ -2,26 +2,10 @@
 
 #include <algorithm>
 
-#include "core/lifetime_arena.hh"
 #include "obs/phase.hh"
 
 namespace mbavf
 {
-
-ModeSweep
-sweepModes(const PhysicalArray &array, const LifetimeStore &store,
-           const ProtectionScheme &scheme, const MbAvfOptions &opt,
-           unsigned max_mode)
-{
-    obs::ObsPhase obs_phase("avf.sweep");
-    // Flatten the store once and emit every mode in a single
-    // traversal, row-band parallel on the shared pool.
-    LifetimeArena arena(store);
-    ModeSweep sweep;
-    sweep.results =
-        computeMbAvfModes(array, arena, scheme, opt, max_mode);
-    return sweep;
-}
 
 ModeSweep
 sweepModesArena(const PhysicalArray &array, const LifetimeArena &arena,

@@ -15,7 +15,6 @@
 
 #include "core/fault_rates.hh"
 #include "core/mbavf.hh"
-#include "core/ser.hh"
 
 namespace mbavf
 {
@@ -34,25 +33,12 @@ struct ModeSweep
 };
 
 /**
- * Compute MB-AVFs for 1x1 through (max_mode)x1 faults.
- *
- * The sweep flattens @p store into a LifetimeArena and runs the
- * single-pass multi-mode kernel (computeMbAvfModes): one traversal
- * of the array emits every mode, bit-identical to max_mode
- * independent computeMbAvf() walks at any thread count.
- */
-ModeSweep sweepModes(const PhysicalArray &array,
-                     const LifetimeStore &store,
-                     const ProtectionScheme &scheme,
-                     const MbAvfOptions &opt,
-                     unsigned max_mode = maxTabulatedMode);
-
-/**
- * Sweep a pre-built arena — what runSweep() does with the pipeline's
- * one lifetime input, an arena mapped from disk (core/arena_io.hh)
- * or the run's store flattened once. Always runs the single-pass
- * multi-mode kernel; results are bit-identical to sweepModes() on
- * the store the arena was built from, at any thread count.
+ * Compute MB-AVFs for 1x1 through (max_mode)x1 faults over an arena —
+ * what runSweep() does with the pipeline's one lifetime input, an
+ * arena mapped from disk (core/arena_io.hh) or the run's store
+ * flattened once. One traversal of the array emits every mode
+ * (computeMbAvfModes), bit-identical to max_mode independent
+ * computeMbAvf() walks of the store at any thread count.
  */
 ModeSweep sweepModesArena(const PhysicalArray &array,
                           const LifetimeArena &arena,
@@ -60,10 +46,22 @@ ModeSweep sweepModesArena(const PhysicalArray &array,
                           const MbAvfOptions &opt,
                           unsigned max_mode = maxTabulatedMode);
 
+/** Per-class SER totals for a structure (FIT). */
+struct StructureSer
+{
+    double sdc = 0.0;
+    double trueDue = 0.0;
+    double falseDue = 0.0;
+
+    double due() const { return trueDue + falseDue; }
+    double total() const { return sdc + trueDue + falseDue; }
+};
+
 /**
  * Fold a mode sweep with per-mode FIT rates into a structure SER
- * (Eq. 3). @p fits[m-1] is the raw rate of mode (m)x1; modes beyond
- * the sweep are ignored.
+ * (Eq. 3): the sum over modes of the mode's raw FIT rate times the
+ * structure's MB-AVF for that mode. @p fits[m-1] is the raw rate of
+ * mode (m)x1; modes beyond the sweep are ignored.
  */
 StructureSer sweepSer(const ModeSweep &sweep,
                       std::span<const double> fits);

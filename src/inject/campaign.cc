@@ -7,7 +7,6 @@
 #include "common/bits.hh"
 #include "common/check.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 #include "common/trap.hh"
 #include "obs/metrics.hh"
 #include "obs/phase.hh"
@@ -303,25 +302,6 @@ Campaign::runOne(const TrialSpec &spec) const
     return result;
 }
 
-std::vector<TrialResult>
-Campaign::runBatchDetailed(const std::vector<TrialSpec> &specs) const
-{
-    std::vector<TrialResult> results(specs.size());
-    runTasks(specs.size(),
-             [&](std::size_t i) { results[i] = runOne(specs[i]); });
-    return results;
-}
-
-std::vector<InjectOutcome>
-Campaign::runBatch(const std::vector<TrialSpec> &specs) const
-{
-    std::vector<TrialResult> detailed = runBatchDetailed(specs);
-    std::vector<InjectOutcome> outcomes(detailed.size());
-    for (std::size_t i = 0; i < detailed.size(); ++i)
-        outcomes[i] = detailed[i].outcome;
-    return outcomes;
-}
-
 TrialSpec
 Campaign::trialSpec(std::uint64_t t, std::uint64_t base_seed,
                     TrialKind kind) const
@@ -338,45 +318,16 @@ Campaign::trialSpec(std::uint64_t t, std::uint64_t base_seed,
     return spec;
 }
 
-std::vector<TrialResult>
-Campaign::runTrialsDetailed(
-    std::size_t first, std::size_t n, std::uint64_t base_seed,
-    TrialKind kind,
-    const std::function<void(std::size_t, const TrialResult &)>
-        &on_trial) const
-{
-    std::vector<TrialResult> results(n);
-    runTasks(n, [&](std::size_t i) {
-        const std::uint64_t t = first + i;
-        results[i] = runOne(trialSpec(t, base_seed, kind));
-        if (on_trial)
-            on_trial(t, results[i]);
-    });
-    return results;
-}
-
-std::vector<InjectOutcome>
-Campaign::runTrials(std::size_t n, std::uint64_t base_seed,
-                    TrialKind kind) const
-{
-    std::vector<TrialResult> detailed =
-        runTrialsDetailed(0, n, base_seed, kind);
-    std::vector<InjectOutcome> outcomes(detailed.size());
-    for (std::size_t i = 0; i < detailed.size(); ++i)
-        outcomes[i] = detailed[i].outcome;
-    return outcomes;
-}
-
 InjectOutcome
 Campaign::inject(const std::vector<RegInjection> &flips) const
 {
-    return runBatch({TrialSpec{flips, {}}}).front();
+    return runOne(TrialSpec{flips, {}}).outcome;
 }
 
 InjectOutcome
 Campaign::injectMem(const std::vector<MemInjection> &flips) const
 {
-    return runBatch({TrialSpec{{}, flips}}).front();
+    return runOne(TrialSpec{{}, flips}).outcome;
 }
 
 RegInjection

@@ -1,6 +1,6 @@
 /**
  * @file
- * Fault-injection campaign driver (paper Section VII-A).
+ * Fault-injection trials (paper Section VII-A).
  *
  * A Campaign runs one workload to completion once (the golden run,
  * with all ACE tracking disabled) and snapshots its declared output
@@ -20,17 +20,18 @@
  *   Hang    the per-trial watchdog budget (derived from the golden
  *           run) expired before the workload finished
  *
- * Trial isolation: every trial is contained at its boundary — a
- * trapped, hung, or otherwise throwing trial records its outcome and
- * never aborts its runTrials()/runBatch() siblings.
+ * Trial isolation: every trial is contained at its boundary
+ * (runOne()) — a trapped, hung, or otherwise throwing trial records
+ * its outcome and never aborts its siblings.
  *
- * Trials are independent — each builds its own Gpu — so batches run
- * concurrently on the shared pool (common/parallel.hh) via
- * runTrials() / runBatch(). Trial t of a runTrials() batch draws its
- * injection site from an Rng seeded with splitMix64(base_seed, t),
- * so any single trial reproduces in isolation regardless of batch
- * size, thread count, or scheduling — and a checkpointed campaign
- * resumes bit-identically (see inject/journal.hh).
+ * Trials are independent — each builds its own Gpu — so a campaign
+ * runs them concurrently on the shared pool (common/parallel.hh),
+ * through TrialPlan (pipeline/pipeline.hh): uniform trial t runs
+ * trialSpec(t, base_seed, kind), whose site comes from an Rng seeded
+ * with splitMix64(base_seed, t), so any single trial reproduces in
+ * isolation regardless of batch size, thread count, or scheduling —
+ * and a checkpointed campaign resumes bit-identically (see
+ * inject/journal.hh).
  */
 
 #ifndef MBAVF_INJECT_CAMPAIGN_HH
@@ -38,7 +39,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -114,7 +114,7 @@ struct CampaignTally
     }
 };
 
-/** Which state runTrials() samples injection sites from. */
+/** Which state trialSpec() samples injection sites from. */
 enum class TrialKind : std::uint8_t
 {
     Register, ///< uniform single-bit VGPR flips (sampleSingleBit)
@@ -218,44 +218,6 @@ class Campaign
      * (trap.host.exception) rather than propagated.
      */
     TrialResult runOne(const TrialSpec &spec) const;
-
-    /**
-     * Execute the given trials concurrently on the shared pool (each
-     * with its own Gpu) and classify each against the golden output.
-     * results[i] corresponds to specs[i]; ordering of results never
-     * depends on scheduling. A trapped or hung trial is contained —
-     * it records its own outcome and its siblings run to completion.
-     */
-    std::vector<TrialResult>
-    runBatchDetailed(const std::vector<TrialSpec> &specs) const;
-
-    /** runBatchDetailed() reduced to outcomes only. */
-    std::vector<InjectOutcome>
-    runBatch(const std::vector<TrialSpec> &specs) const;
-
-    /**
-     * Run trials [first, first + n) of the campaign keyed by
-     * @p base_seed: trial t samples its single-bit site from
-     * Rng(splitMix64(base_seed, t)). results[i] is trial first + i,
-     * bit-identical at any thread count and any resume split.
-     * @p on_trial (optional) observes each completed trial — called
-     * concurrently from pool workers with the absolute trial index.
-     */
-    std::vector<TrialResult> runTrialsDetailed(
-        std::size_t first, std::size_t n, std::uint64_t base_seed,
-        TrialKind kind,
-        const std::function<void(std::size_t, const TrialResult &)>
-            &on_trial = {}) const;
-
-    /**
-     * Run @p n statistically independent single-bit trials of
-     * @p kind concurrently. Trial t samples its site from
-     * Rng(splitMix64(base_seed, t)); results[t] is that trial's
-     * outcome, bit-identical at any thread count.
-     */
-    std::vector<InjectOutcome> runTrials(std::size_t n,
-                                         std::uint64_t base_seed,
-                                         TrialKind kind) const;
 
     /** The single-bit spec trial @p t of @p kind draws. */
     TrialSpec trialSpec(std::uint64_t t, std::uint64_t base_seed,

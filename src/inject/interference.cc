@@ -2,11 +2,28 @@
 
 #include <vector>
 
+#include "common/parallel.hh"
 #include "common/rng.hh"
 #include "inject/campaign.hh"
 
 namespace mbavf
 {
+
+namespace
+{
+
+/** Outcome of each of @p specs, run concurrently on the shared pool. */
+std::vector<InjectOutcome>
+runSpecs(const Campaign &campaign, const std::vector<TrialSpec> &specs)
+{
+    std::vector<InjectOutcome> outcomes(specs.size());
+    runTasks(specs.size(), [&](std::size_t i) {
+        outcomes[i] = campaign.runOne(specs[i]).outcome;
+    });
+    return outcomes;
+}
+
+} // namespace
 
 InterferenceStats
 runInterferenceStudy(const std::string &workload, unsigned scale,
@@ -30,7 +47,7 @@ runInterferenceStudy(const std::string &workload, unsigned scale,
         sites[i] = campaign.sampleSingleBit(rng);
         specs[i].regFlips.push_back(sites[i]);
     }
-    std::vector<InjectOutcome> outcomes = campaign.runBatch(specs);
+    const std::vector<InjectOutcome> outcomes = runSpecs(campaign, specs);
 
     std::vector<RegInjection> sdc_sites;
     for (unsigned i = 0; i < num_injections; ++i) {
@@ -58,8 +75,8 @@ runInterferenceStudy(const std::string &workload, unsigned scale,
             group_specs.push_back(TrialSpec{{multi}, {}});
         }
     }
-    std::vector<InjectOutcome> group_outcomes =
-        campaign.runBatch(group_specs);
+    const std::vector<InjectOutcome> group_outcomes =
+        runSpecs(campaign, group_specs);
     for (std::size_t g = 0; g < group_outcomes.size(); ++g) {
         unsigned m = static_cast<unsigned>(g % 3);
         ++stats.groupsTested[m];

@@ -15,7 +15,6 @@
 
 #include "common/table.hh"
 #include "core/mbavf.hh"
-#include "core/ser.hh"
 #include "core/sweep.hh"
 #include "inject/campaign.hh"
 #include "inject/stratified.hh"

@@ -1,16 +1,15 @@
 /**
  * @file
- * Scoped phase timers over a process-wide phase table.
+ * Scoped phase timer over a process-wide phase table.
  *
- * ObsTimer accumulates its scope's wall time under a fixed name in
+ * ObsPhase accumulates its scope's wall time under a fixed name in
  * the phase table (total seconds + entry count), which manifests
- * export as the per-phase timing section. ObsPhase does the same and
- * additionally emits a Chrome trace slice (obs/trace.hh), so the
- * same annotation feeds both the timing summary and the trace
- * timeline. Names must be string literals (they are stored by
- * pointer on the trace path).
+ * export as the per-phase timing section, and emits a Chrome trace
+ * slice (obs/trace.hh), so the same annotation feeds both the timing
+ * summary and the trace timeline. Names must be string literals
+ * (they are stored by pointer on the trace path).
  *
- * Both are free when no sink is attached: the constructor is one
+ * It is free when no sink is attached: the constructor is one
  * relaxed load and a branch when timingEnabled() and
  * tracingEnabled() are both false (the default), proved by
  * bench/micro_obs_overhead.
@@ -55,7 +54,7 @@ struct PhaseStat
     std::uint64_t count = 0;
 };
 
-/** Record @p seconds under @p name (ObsTimer does this for you). */
+/** Record @p seconds under @p name (ObsPhase does this for you). */
 void recordPhase(const char *name, double seconds);
 
 /** All phases recorded so far, sorted by name. */
@@ -64,35 +63,7 @@ std::vector<std::pair<std::string, PhaseStat>> phaseStats();
 /** Clear the phase table (tests and tools between runs). */
 void resetPhases();
 
-/** Scoped timer: adds its lifetime to the phase table. */
-class ObsTimer
-{
-  public:
-    explicit ObsTimer(const char *name)
-    {
-        if (timingEnabled()) {
-            name_ = name;
-            startUs_ = traceNowUs();
-        }
-    }
-
-    ~ObsTimer()
-    {
-        if (name_) {
-            recordPhase(name_,
-                        (traceNowUs() - startUs_) * 1e-6);
-        }
-    }
-
-    ObsTimer(const ObsTimer &) = delete;
-    ObsTimer &operator=(const ObsTimer &) = delete;
-
-  private:
-    const char *name_ = nullptr;
-    double startUs_ = 0.0;
-};
-
-/** Scoped timer that also emits a Chrome trace slice. */
+/** Scoped timer: a phase-table entry plus a Chrome trace slice. */
 class ObsPhase
 {
   public:

@@ -130,8 +130,9 @@ TEST(Parallel, MapReduceEmptyRangeReturnsInit)
 
 TEST(Parallel, NestedSubmissionCompletes)
 {
-    // A pool task fanning out its own subtasks (the sweepModes /
-    // computeMbAvf shape) must not deadlock or drop work.
+    // A pool task fanning out its own subtasks (the lifetime
+    // finalize shape: one task per store, each fanning out over its
+    // containers) must not deadlock or drop work.
     setParallelThreads(4);
     std::atomic<std::uint64_t> sum{0};
     runTasks(8, [&](std::size_t outer) {

@@ -255,7 +255,8 @@ TEST(ArenaIo, MappedSweepIsBitIdenticalAtAnyThreadCount)
     opt.horizon = 400;
     opt.numWindows = 4;
     opt.numThreads = 1;
-    ModeSweep direct = sweepModes(array, store, parity, opt, 6);
+    ModeSweep direct =
+        sweepModesArena(array, LifetimeArena(store), parity, opt, 6);
 
     const std::string path = tempPath("sweep.bin");
     saveArena(LifetimeArena(store), path, opt.horizon);

@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fault_rates.hh"
-#include "core/ser.hh"
+#include "core/sweep.hh"
 
 namespace mbavf
 {
@@ -73,34 +73,20 @@ TEST(FaultRates, CaseStudyScalesLinearly)
 
 TEST(Ser, SumsPerModeContributions)
 {
-    std::vector<ModeSer> modes;
-    ModeSer a;
-    a.modeBits = 1;
-    a.fit = 96.0;
-    a.avf = {0.01, 0.02, 0.005};
-    ModeSer b;
-    b.modeBits = 2;
-    b.fit = 4.0;
-    b.avf = {0.5, 0.1, 0.0};
-    modes = {a, b};
+    // Eq. 3: each mode's raw FIT times its MB-AVF, summed per class.
+    ModeSweep sweep;
+    sweep.results.resize(2);
+    sweep.results[0].avf = {0.01, 0.02, 0.005};
+    sweep.results[1].avf = {0.5, 0.1, 0.0};
+    const std::vector<double> fits = {96.0, 4.0};
 
-    StructureSer total = sumSer(modes);
+    StructureSer total = sweepSer(sweep, fits);
     EXPECT_NEAR(total.sdc, 96 * 0.01 + 4 * 0.5, 1e-12);
     EXPECT_NEAR(total.trueDue, 96 * 0.02 + 4 * 0.1, 1e-12);
     EXPECT_NEAR(total.falseDue, 96 * 0.005, 1e-12);
     EXPECT_NEAR(total.due(), total.trueDue + total.falseDue, 1e-12);
     EXPECT_NEAR(total.total(),
                 total.sdc + total.trueDue + total.falseDue, 1e-12);
-}
-
-TEST(Ser, ModeSerAccessors)
-{
-    ModeSer m;
-    m.fit = 10.0;
-    m.avf = {0.1, 0.2, 0.3};
-    EXPECT_NEAR(m.sdcSer(), 1.0, 1e-12);
-    EXPECT_NEAR(m.dueSer(), 5.0, 1e-12);
-    EXPECT_NEAR(m.totalSer(), 6.0, 1e-12);
 }
 
 } // namespace

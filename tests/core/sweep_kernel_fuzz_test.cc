@@ -258,14 +258,15 @@ runTrial(const PhysicalArray &array, const LifetimeStore &store,
     const ModeSweep ref =
         referenceSweep(array, store, *scheme, opt, max_mode);
 
-    expectIdentical(ref, sweepModes(array, store, *scheme, opt,
-                                    max_mode),
+    const LifetimeArena arena(store);
+    expectIdentical(ref, sweepModesArena(array, arena, *scheme, opt,
+                                         max_mode),
                     at + " serial");
 
     MbAvfOptions pooled = opt;
     pooled.numThreads = 4;
-    expectIdentical(ref, sweepModes(array, store, *scheme, pooled,
-                                    max_mode),
+    expectIdentical(ref, sweepModesArena(array, arena, *scheme, pooled,
+                                         max_mode),
                     at + " pooled");
 }
 
@@ -530,8 +531,8 @@ TEST(SweepKernelFuzz, AllCorrectedDesignCountsItsAnchors)
             opt.numThreads = threads;
             metrics.reset();
             obs::setMetricsEnabled(true);
-            const ModeSweep sweep =
-                sweepModes(array, store, *scheme, opt, max_mode);
+            const ModeSweep sweep = sweepModesArena(
+                array, LifetimeArena(store), *scheme, opt, max_mode);
             obs::setMetricsEnabled(false);
             const obs::MetricsSnapshot snap = metrics.snapshot();
             metrics.reset();
@@ -579,15 +580,14 @@ TEST(SweepKernelFuzz, ExtremeHorizons)
                 "extreme horizon " +
                 std::to_string(kMax - horizon) + " below max, W=" +
                 std::to_string(windows);
-            expectIdentical(ref,
-                            sweepModes(array, store, *scheme, opt, 8),
-                            at);
+            const LifetimeArena arena(store);
+            expectIdentical(
+                ref, sweepModesArena(array, arena, *scheme, opt, 8), at);
             MbAvfOptions pooled = opt;
             pooled.numThreads = 4;
-            expectIdentical(ref,
-                            sweepModes(array, store, *scheme, pooled,
-                                       8),
-                            at + " pooled");
+            expectIdentical(
+                ref, sweepModesArena(array, arena, *scheme, pooled, 8),
+                at + " pooled");
         }
     }
 }
@@ -605,7 +605,8 @@ TEST(SweepKernelFuzz, TinyHorizonManyWindows)
     opt.horizon = 5;
     opt.numWindows = 8;
     expectIdentical(referenceSweep(array, store, *scheme, opt, 8),
-                    sweepModes(array, store, *scheme, opt, 8),
+                    sweepModesArena(array, LifetimeArena(store), *scheme,
+                                    opt, 8),
                     "tiny horizon");
 }
 

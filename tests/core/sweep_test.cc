@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lifetime_arena.hh"
 #include "core/sweep.hh"
 
 namespace mbavf
@@ -50,7 +51,8 @@ TEST(Sweep, SweepsAllModes)
     MbAvfOptions opt;
     opt.horizon = 100;
 
-    ModeSweep sweep = sweepModes(array, store, parity, opt);
+    ModeSweep sweep =
+        sweepModesArena(array, LifetimeArena(store), parity, opt);
     ASSERT_EQ(sweep.results.size(), maxTabulatedMode);
     // Fully-ACE structure: odd modes detected (DUE 1.0), even modes
     // undetected within one domain... mode 2 inside an 8-bit domain
@@ -67,7 +69,8 @@ TEST(Sweep, SerFoldsRates)
     MbAvfOptions opt;
     opt.horizon = 100;
 
-    ModeSweep sweep = sweepModes(array, store, parity, opt, 2);
+    ModeSweep sweep =
+        sweepModesArena(array, LifetimeArena(store), parity, opt, 2);
     std::array<double, 2> fits = {90.0, 10.0};
     StructureSer ser = sweepSer(sweep, fits);
     EXPECT_NEAR(ser.due(), 90.0 * sweep.avf(1).due() +
@@ -95,8 +98,9 @@ TEST(Sweep, ParallelSweepIsBitIdenticalToSerial)
     MbAvfOptions parallel = serial;
     parallel.numThreads = 4;
 
-    ModeSweep a = sweepModes(array, store, parity, serial);
-    ModeSweep b = sweepModes(array, store, parity, parallel);
+    const LifetimeArena arena(store);
+    ModeSweep a = sweepModesArena(array, arena, parity, serial);
+    ModeSweep b = sweepModesArena(array, arena, parity, parallel);
     ASSERT_EQ(a.results.size(), b.results.size());
     for (std::size_t m = 0; m < a.results.size(); ++m) {
         EXPECT_EQ(a.results[m].avf.sdc, b.results[m].avf.sdc) << m;
@@ -134,7 +138,8 @@ TEST(Sweep, SerScalesWithTotalFit)
     MbAvfOptions opt;
     opt.horizon = 100;
 
-    ModeSweep sweep = sweepModes(array, store, parity, opt);
+    ModeSweep sweep =
+        sweepModesArena(array, LifetimeArena(store), parity, opt);
     StructureSer a = sweepSer(sweep, caseStudyFaultRates(100.0));
     StructureSer b = sweepSer(sweep, caseStudyFaultRates(300.0));
     EXPECT_NEAR(b.total(), 3.0 * a.total(), 1e-9);

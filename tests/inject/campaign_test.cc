@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the fault-injection campaign and the ACE-interference
- * study driver.
+ * Tests for the fault-injection campaign, the trial plan every tool
+ * runs campaigns through (TrialPlan, pipeline/pipeline.hh) and the
+ * ACE-interference study.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "inject/campaign.hh"
 #include "inject/interference.hh"
 #include "obs/adapters.hh"
+#include "pipeline/pipeline.hh"
 
 namespace mbavf
 {
@@ -26,6 +28,58 @@ GpuConfig
 cfg()
 {
     return GpuConfig{};
+}
+
+/** A uniform campaign job over @p workload. */
+JobConfig
+campaignJob(const std::string &workload, std::uint64_t seed,
+            const std::string &kind = "register")
+{
+    JobConfig job;
+    job.type = JobType::Campaign;
+    job.workload = workload;
+    job.seed = seed;
+    job.kind = kind;
+    std::string error;
+    EXPECT_TRUE(validateJob(job, error)) << error;
+    return job;
+}
+
+/** What one TrialPlan::run call counted and its hook observed. */
+struct PlanRun
+{
+    CampaignTallies tallies;
+    /** results[i] and calls[i] belong to trial first + i. */
+    std::vector<TrialResult> results;
+    std::vector<unsigned> calls;
+};
+
+/** Run trials [first, first + n) of @p plan through its hook. */
+PlanRun
+runRange(const TrialPlan &plan, std::uint64_t first, std::uint64_t n)
+{
+    PlanRun out;
+    out.tallies = plan.emptyTallies();
+    out.results.resize(n);
+    out.calls.resize(n);
+    std::mutex mutex;
+    plan.run(first, n, out.tallies,
+             [&](std::uint64_t t, std::uint64_t, std::uint32_t,
+                 const TrialResult &r) {
+                 std::lock_guard<std::mutex> guard(mutex);
+                 ASSERT_GE(t, first);
+                 ASSERT_LT(t, first + n);
+                 out.results[t - first] = r;
+                 ++out.calls[t - first];
+             });
+    return out;
+}
+
+void
+expectSameTally(const CampaignTally &a, const CampaignTally &b)
+{
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.codeCounts, b.codeCounts);
 }
 
 TEST(Campaign, GoldenRunsOnce)
@@ -163,58 +217,39 @@ TEST(Campaign, SamplerTargetsOnlyCusWithWaves)
 
 TEST(Campaign, RunTrialsBitIdenticalAcrossThreadCounts)
 {
-    Campaign c("histogram", 1, cfg());
+    const TrialPlan reg(campaignJob("histogram", 99));
+    const TrialPlan mem(campaignJob("histogram", 7, "memory"));
     setParallelThreads(1);
-    std::vector<InjectOutcome> serial_reg =
-        c.runTrials(12, 99, TrialKind::Register);
-    std::vector<InjectOutcome> serial_mem =
-        c.runTrials(8, 7, TrialKind::Memory);
+    const PlanRun serial_reg = runRange(reg, 0, 12);
+    const PlanRun serial_mem = runRange(mem, 0, 8);
     setParallelThreads(4);
-    std::vector<InjectOutcome> pool_reg =
-        c.runTrials(12, 99, TrialKind::Register);
-    std::vector<InjectOutcome> pool_mem =
-        c.runTrials(8, 7, TrialKind::Memory);
-    EXPECT_EQ(serial_reg, pool_reg);
-    EXPECT_EQ(serial_mem, pool_mem);
+    const PlanRun pool_reg = runRange(reg, 0, 12);
+    const PlanRun pool_mem = runRange(mem, 0, 8);
     setParallelThreads(0);
+    EXPECT_EQ(serial_reg.results, pool_reg.results);
+    EXPECT_EQ(serial_mem.results, pool_mem.results);
+    expectSameTally(serial_reg.tallies.flat, pool_reg.tallies.flat);
+    expectSameTally(serial_mem.tallies.flat, pool_mem.tallies.flat);
+    EXPECT_EQ(pool_reg.tallies.flat.total(), 12u);
+    EXPECT_EQ(pool_mem.tallies.flat.total(), 8u);
 }
 
 TEST(Campaign, TrialReproducesInIsolation)
 {
-    // Any trial t of a batch is reproducible alone from
+    // Any trial t of a plan is reproducible alone from
     // (base_seed, t): per-trial seeds are splitMix64(base, t), not a
     // shared RNG stream.
+    const TrialPlan plan(campaignJob("histogram", 21));
+    const PlanRun all = runRange(plan, 0, 8);
     Campaign c("histogram", 1, cfg());
-    std::vector<InjectOutcome> all =
-        c.runTrials(8, 21, TrialKind::Register);
+    for (std::uint64_t t = 0; t < 8; ++t) {
+        EXPECT_EQ(c.runOne(c.trialSpec(t, 21, TrialKind::Register)),
+                  all.results[t])
+            << "trial " << t;
+    }
     Rng rng(splitMix64(21, 5));
     RegInjection site = c.sampleSingleBit(rng);
-    EXPECT_EQ(c.inject(site), all[5]);
-}
-
-TEST(Campaign, RunBatchPreservesSpecOrder)
-{
-    Campaign c("histogram", 1, cfg());
-    // Spec 0 is a guaranteed-masked flip (r31 is never touched);
-    // spec 1 corrupts an output bin directly.
-    TrialSpec masked;
-    RegInjection reg;
-    reg.reg = 31;
-    reg.bitMask = 0xFFFFFFFF;
-    reg.triggerInstr = c.goldenInstrs() / 2;
-    masked.regFlips.push_back(reg);
-
-    TrialSpec sdc;
-    MemInjection mem;
-    mem.addr = 4096 * 4; // first bin counter
-    mem.bitMask = 0x1;
-    mem.triggerInstr = c.goldenInstrs() - 1;
-    sdc.memFlips.push_back(mem);
-
-    std::vector<InjectOutcome> out = c.runBatch({masked, sdc});
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(out[0], InjectOutcome::Masked);
-    EXPECT_EQ(out[1], InjectOutcome::Sdc);
+    EXPECT_EQ(c.inject(site), all.results[5].outcome);
 }
 
 TEST(Campaign, AddressFlipCausesCrashNotAbort)
@@ -235,10 +270,9 @@ TEST(Campaign, AddressFlipCausesCrashNotAbort)
         inj.triggerInstr = t;
         specs.push_back(TrialSpec{{inj}, {}});
     }
-    std::vector<TrialResult> results = c.runBatchDetailed(specs);
-    ASSERT_EQ(results.size(), specs.size());
     unsigned crashes = 0;
-    for (const TrialResult &r : results) {
+    for (const TrialSpec &spec : specs) {
+        const TrialResult r = c.runOne(spec);
         if (r.outcome == InjectOutcome::Crash) {
             ++crashes;
             EXPECT_EQ(r.code, trapcode::memOob);
@@ -259,7 +293,8 @@ TEST(Campaign, UnalignedAddressFlipCausesCrash)
         specs.push_back(TrialSpec{{inj}, {}});
     }
     unsigned align_crashes = 0;
-    for (const TrialResult &r : c.runBatchDetailed(specs)) {
+    for (const TrialSpec &spec : specs) {
+        const TrialResult r = c.runOne(spec);
         if (r.outcome == InjectOutcome::Crash &&
             r.code == trapcode::memAlign) {
             ++align_crashes;
@@ -339,29 +374,23 @@ TEST(Campaign, SecdedDetectsDoubleFlipInOneDomain)
 
 TEST(Campaign, CrashedTrialDoesNotAbortSiblings)
 {
-    // One crashing spec in a batch: the siblings must still run and
-    // classify normally.
-    Campaign c("histogram", 1, cfg());
-    RegInjection crash;
-    crash.reg = 5;
-    crash.bitMask = 0x80000000u;
-    crash.triggerInstr = 4;
-
-    RegInjection masked;
-    masked.reg = 31;
-    masked.bitMask = 0xFFFFFFFF;
-    masked.triggerInstr = c.goldenInstrs() / 2;
-
-    std::vector<TrialSpec> specs;
-    for (int i = 0; i < 6; ++i) {
-        specs.push_back(i == 2 ? TrialSpec{{crash}, {}}
-                               : TrialSpec{{masked}, {}});
-    }
-    std::vector<TrialResult> results = c.runBatchDetailed(specs);
-    ASSERT_EQ(results.size(), 6u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (i != 2) {
-            EXPECT_EQ(results[i].outcome, InjectOutcome::Masked);
+    // bfs memory trials 14 and 15 of seed 2 flip graph indices into
+    // out-of-range addresses. Their siblings in the same plan range
+    // must still run and classify exactly as they do alone.
+    const TrialPlan plan(campaignJob("bfs", 2, "memory"));
+    const PlanRun range = runRange(plan, 10, 10);
+    EXPECT_EQ(range.tallies.flat.total(), 10u);
+    EXPECT_EQ(range.tallies.flat.count(InjectOutcome::Crash), 2u);
+    Campaign c("bfs", 1, cfg());
+    for (std::uint64_t i = 0; i < 10; ++i) {
+        const std::uint64_t t = 10 + i;
+        EXPECT_EQ(range.calls[i], 1u) << "trial " << t;
+        EXPECT_EQ(range.results[i],
+                  c.runOne(c.trialSpec(t, 2, TrialKind::Memory)))
+            << "trial " << t;
+        if (t == 14 || t == 15) {
+            EXPECT_EQ(range.results[i].outcome, InjectOutcome::Crash);
+            EXPECT_EQ(range.results[i].code, trapcode::memOob);
         }
     }
 }
@@ -369,40 +398,52 @@ TEST(Campaign, CrashedTrialDoesNotAbortSiblings)
 TEST(Campaign, RunTrialsDetailedSplitsReproduceFullRun)
 {
     // Resume correctness at the API level: [0, 20) in one call must
-    // equal [0, 8) + [8, 20) run separately, at any thread count.
-    Campaign c("recursive_gaussian", 1, cfg());
-    std::vector<TrialResult> whole =
-        c.runTrialsDetailed(0, 20, 42, TrialKind::Register);
+    // equal [0, 8) + [8, 20) run separately, at any thread count,
+    // trial for trial and in the tallies. recursive_gaussian memory
+    // trials mix Masked and Sdc, so a misplaced trial shows.
+    const TrialPlan plan(campaignJob("recursive_gaussian", 42, "memory"));
+    const PlanRun whole = runRange(plan, 0, 20);
     setParallelThreads(3);
-    std::vector<TrialResult> head =
-        c.runTrialsDetailed(0, 8, 42, TrialKind::Register);
-    std::vector<TrialResult> tail =
-        c.runTrialsDetailed(8, 12, 42, TrialKind::Register);
+    const PlanRun head = runRange(plan, 0, 8);
+    const PlanRun tail = runRange(plan, 8, 12);
+    CampaignTallies split = plan.emptyTallies();
+    plan.run(0, 8, split);
+    plan.run(8, 12, split);
     setParallelThreads(0);
-    ASSERT_EQ(head.size() + tail.size(), whole.size());
-    for (std::size_t i = 0; i < head.size(); ++i)
-        EXPECT_EQ(head[i], whole[i]);
-    for (std::size_t i = 0; i < tail.size(); ++i)
-        EXPECT_EQ(tail[i], whole[8 + i]);
+    for (std::size_t i = 0; i < head.results.size(); ++i)
+        EXPECT_EQ(head.results[i], whole.results[i]);
+    for (std::size_t i = 0; i < tail.results.size(); ++i)
+        EXPECT_EQ(tail.results[i], whole.results[8 + i]);
+    expectSameTally(split.flat, whole.tallies.flat);
+    EXPECT_TRUE(split.strata.empty());
 }
 
 TEST(Campaign, OnTrialObserverSeesAbsoluteIndices)
 {
-    Campaign c("histogram", 1, cfg());
+    // The hook sees every absolute index of [5, 12) exactly once,
+    // with the seed its site was drawn from, stratum 0, and the
+    // result that trial has in a run from 0.
+    const TrialPlan plan(campaignJob("histogram", 13, "memory"));
+    const PlanRun from_zero = runRange(plan, 0, 12);
     std::mutex mutex;
-    std::map<std::size_t, TrialResult> seen;
-    std::vector<TrialResult> results = c.runTrialsDetailed(
-        5, 7, 13, TrialKind::Memory,
-        [&](std::size_t t, const TrialResult &r) {
-            std::lock_guard<std::mutex> guard(mutex);
-            seen[t] = r;
-        });
-    ASSERT_EQ(seen.size(), 7u);
-    for (const auto &[t, r] : seen) {
-        ASSERT_GE(t, 5u);
-        ASSERT_LT(t, 12u);
-        EXPECT_EQ(r, results[t - 5]);
+    std::map<std::uint64_t, unsigned> calls;
+    CampaignTallies tallies = plan.emptyTallies();
+    plan.run(5, 7, tallies,
+             [&](std::uint64_t t, std::uint64_t seed,
+                 std::uint32_t stratum, const TrialResult &r) {
+                 std::lock_guard<std::mutex> guard(mutex);
+                 ++calls[t];
+                 ASSERT_LT(t, 12u);
+                 EXPECT_EQ(seed, splitMix64(13, t));
+                 EXPECT_EQ(stratum, 0u);
+                 EXPECT_EQ(r, from_zero.results[t]);
+             });
+    ASSERT_EQ(calls.size(), 7u);
+    for (const auto &[t, n] : calls) {
+        EXPECT_GE(t, 5u);
+        EXPECT_EQ(n, 1u) << "trial " << t;
     }
+    EXPECT_EQ(tallies.flat.total(), 7u);
 }
 
 TEST(Campaign, TallyCountsAndRates)

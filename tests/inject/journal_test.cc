@@ -17,6 +17,7 @@
 #include "common/trap.hh"
 #include "inject/campaign.hh"
 #include "inject/journal.hh"
+#include "pipeline/pipeline.hh"
 
 namespace mbavf
 {
@@ -342,7 +343,14 @@ TEST(Journal, ResumedCampaignIsBitIdenticalToStraightRun)
     std::remove(straight.c_str());
     std::remove(resumed.c_str());
 
-    Campaign campaign("histogram", 1, GpuConfig{});
+    JobConfig job;
+    job.type = JobType::Campaign;
+    job.workload = "histogram";
+    job.trials = 24;
+    job.seed = 5;
+    job.kind = "memory";
+    const TrialPlan plan(job);
+    CampaignTallies tallies = plan.emptyTallies();
     JournalHeader header;
     header.workload = "histogram";
     header.scale = 1;
@@ -352,11 +360,9 @@ TEST(Journal, ResumedCampaignIsBitIdenticalToStraightRun)
 
     {
         JournalWriter writer(straight, header, 4);
-        campaign.runTrialsDetailed(
-            0, 24, 5, TrialKind::Memory,
-            [&](std::size_t t, const TrialResult &r) {
-                writer.record(t, r);
-            });
+        plan.run(0, 24, tallies,
+                 [&](std::uint64_t t, std::uint64_t, std::uint32_t,
+                     const TrialResult &r) { writer.record(t, r); });
         writer.finish();
     }
     CampaignJournal full;
@@ -368,11 +374,9 @@ TEST(Journal, ResumedCampaignIsBitIdenticalToStraightRun)
                                     full.records.begin() + 12);
     {
         JournalWriter writer(resumed, header, 4, std::move(half));
-        campaign.runTrialsDetailed(
-            12, 12, 5, TrialKind::Memory,
-            [&](std::size_t t, const TrialResult &r) {
-                writer.record(t, r);
-            });
+        plan.run(12, 12, tallies,
+                 [&](std::uint64_t t, std::uint64_t, std::uint32_t,
+                     const TrialResult &r) { writer.record(t, r); });
         writer.finish();
     }
     EXPECT_EQ(fileBytes(straight), fileBytes(resumed));

@@ -17,6 +17,7 @@
 #include "inject/campaign.hh"
 #include "inject/journal.hh"
 #include "inject/stratified.hh"
+#include "pipeline/pipeline.hh"
 
 namespace mbavf
 {
@@ -36,6 +37,35 @@ sharedStratification()
     static Stratification strat =
         Stratification::build(sharedCampaign(), StratifyOptions{});
     return strat;
+}
+
+/** The tools' trial plan for a stratified histogram campaign. */
+const TrialPlan &
+sharedPlan()
+{
+    static const TrialPlan plan = [] {
+        JobConfig job;
+        job.type = JobType::Campaign;
+        job.workload = "histogram";
+        job.seed = 11;
+        job.stratify = true;
+        job.budget = 40;
+        std::string error;
+        EXPECT_TRUE(validateJob(job, error)) << error;
+        return TrialPlan(job);
+    }();
+    return plan;
+}
+
+void
+expectSameStrata(const CampaignTallies &a, const CampaignTallies &b)
+{
+    EXPECT_EQ(a.flat.counts, b.flat.counts);
+    ASSERT_EQ(a.strata.size(), b.strata.size());
+    for (std::size_t s = 0; s < a.strata.size(); ++s) {
+        EXPECT_EQ(a.strata[s].trials, b.strata[s].trials) << s;
+        EXPECT_EQ(a.strata[s].counts, b.strata[s].counts) << s;
+    }
 }
 
 TEST(Stratified, PartitionWeightsCoverTheFaultSpace)
@@ -176,6 +206,38 @@ TEST(Stratified, ThreadCountBitIdentityOverStratificationSweep)
             EXPECT_EQ(one[i].code, four[i].code);
         }
     }
+}
+
+TEST(Stratified, PlanSplitRangesMergeToTheWholeRun)
+{
+    // Picks [0, 40) in one call and as [0, 13) + [13, 40) at another
+    // thread count count the same trials into the same strata.
+    const TrialPlan &plan = sharedPlan();
+    ASSERT_NE(plan.stratification(), nullptr);
+    CampaignTallies whole = plan.emptyTallies();
+    plan.run(0, 40, whole);
+    setParallelThreads(3);
+    CampaignTallies split = plan.emptyTallies();
+    plan.run(0, 13, split);
+    plan.run(13, 27, split);
+    setParallelThreads(0);
+    EXPECT_EQ(whole.flat.total(), 40u);
+    expectSameStrata(whole, split);
+}
+
+TEST(Stratified, PlanTalliesBitIdenticalAcrossThreadCounts)
+{
+    const TrialPlan &plan = sharedPlan();
+    auto tallies = [&](unsigned threads) {
+        setParallelThreads(threads);
+        CampaignTallies out = plan.emptyTallies();
+        plan.run(0, 40, out);
+        return out;
+    };
+    const CampaignTallies one = tallies(1);
+    const CampaignTallies four = tallies(4);
+    setParallelThreads(0);
+    expectSameStrata(one, four);
 }
 
 TEST(Stratified, PartitionHashIsStableAndShapeSensitive)

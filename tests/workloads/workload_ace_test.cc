@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/lifetime_arena.hh"
 #include "core/mbavf.hh"
 #include "core/protection.hh"
 #include "core/sweep.hh"
@@ -49,7 +50,8 @@ l1Sweep(const AceRun &run, CacheInterleave style, unsigned factor,
     auto array = makeCacheArray(geom, style, factor);
     MbAvfOptions opt;
     opt.horizon = run.horizon;
-    return sweepModes(*array, run.l1, scheme, opt, max_mode);
+    return sweepModesArena(*array, LifetimeArena(run.l1), scheme, opt,
+                           max_mode);
 }
 
 TEST(WorkloadAce, ComdHasSubstantialDeadData)
