@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "bench/bench_util.hh"
+#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -48,19 +49,19 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        job.workload = name;
-        const Lifetimes life = jobLifetimes(job);
-
         // The sweep kernel walks Mx1 modes only: each shape goes
-        // through the per-group reference engine.
+        // through the per-group reference engine, which reads the
+        // builder's store.
+        const AceRun run =
+            runAceAnalysis(name, job.scale, GpuConfig{}, AceStore::L1);
         for (const char *scheme : {"parity", "secded"}) {
             job.scheme = scheme;
-            const Design design = makeDesign(job, life.horizon);
+            const Design design = makeDesign(job, run.horizon);
             table.beginRow().cell(name).cell(design.scheme->name());
             for (const FaultMode &m : modes) {
                 MbAvfResult r =
-                    computeMbAvf(*design.array, life.store,
-                                 *design.scheme, m, design.options);
+                    computeMbAvf(*design.array, run.l1, *design.scheme,
+                                 m, design.options);
                 table.cell(r.avf.sdc, 4).cell(r.avf.due(), 4);
             }
         }

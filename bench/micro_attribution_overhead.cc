@@ -46,7 +46,9 @@
 #include "analyze/attribution.hh"
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
+#include "core/mbavf_kernel.hh"
 #include "obs/stopwatch.hh"
+#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -119,7 +121,7 @@ main(int argc, char **argv)
     job.structure = "vgpr";
     job.scheme = "secded";
     job.scale = unsignedFlag(args, "scale", 1);
-    job.modes = unsignedFlag(args, "mode", 4);
+    job.modes = unsignedFlag(args, "mode", 4, 1, detail::maxModeBits);
     const unsigned mode_size = job.modes;
     const unsigned repeats = unsignedFlag(args, "repeats", 3, 1);
     const double max_disabled = args.getDouble("max-disabled-cost", 0.0);
@@ -139,12 +141,12 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        job.workload = name;
-        const Lifetimes life = jobLifetimes(job);
-        const Design design = makeDesign(job, life.horizon);
+        const AceRun run =
+            runAceAnalysis(name, job.scale, GpuConfig{}, AceStore::Vgpr);
+        const Design design = makeDesign(job, run.horizon);
         const PhysicalArray &array = *design.array;
         const ProtectionScheme &secded = *design.scheme;
-        const LifetimeStore &store = life.store;
+        const LifetimeStore &store = run.vgpr;
         LifetimeStore stripped = stripTags(store);
 
         // SDC takes precedence: the study times the sweep without

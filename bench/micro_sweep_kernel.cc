@@ -39,7 +39,9 @@
 #include "common/stats.hh"
 #include "core/arena_io.hh"
 #include "core/lifetime_arena.hh"
+#include "core/mbavf_kernel.hh"
 #include "obs/stopwatch.hh"
+#include "workloads/ace_runner.hh"
 
 using namespace mbavf;
 
@@ -134,7 +136,7 @@ main(int argc, char **argv)
     job.scale = unsignedFlag(args, "scale", 1);
     job.style = "logical";
     job.windows = 8;
-    job.modes = unsignedFlag(args, "modes", 8);
+    job.modes = unsignedFlag(args, "modes", 8, 1, detail::maxModeBits);
     const unsigned max_mode = job.modes;
     const unsigned repeats = unsignedFlag(args, "repeats", 3, 1);
     const double min_speedup = args.getDouble("min-speedup", 0.0);
@@ -151,24 +153,24 @@ main(int argc, char **argv)
 
     for (const std::string &name : selectedWorkloads(args)) {
         note("running " + name);
-        job.workload = name;
-        const Lifetimes life = jobLifetimes(job);
-        const Design design = makeDesign(job, life.horizon);
+        const AceRun run =
+            runAceAnalysis(name, job.scale, GpuConfig{}, AceStore::L1);
+        const Design design = makeDesign(job, run.horizon);
         const PhysicalArray &array = *design.array;
         const ProtectionScheme &parity = *design.scheme;
         const MbAvfOptions &opt = design.options;
 
         ModeSweep ref, kernel, mapped;
-        double ref_s = timeSweep(array, life.store, parity, opt,
-                                 max_mode, true, repeats, ref);
-        double kernel_s = timeSweep(array, life.store, parity, opt,
+        double ref_s = timeSweep(array, run.l1, parity, opt, max_mode,
+                                 true, repeats, ref);
+        double kernel_s = timeSweep(array, run.l1, parity, opt,
                                     max_mode, false, repeats, kernel);
 
         // Persist + map back: the disk round trip must neither
         // change a single bit nor cost measurable sweep time.
         const std::string arena_path =
             "micro_sweep_" + name + ".arena.tmp";
-        saveArena(life.arena, arena_path, life.horizon);
+        saveArena(LifetimeArena(run.l1), arena_path, run.horizon);
         std::string error;
         std::optional<LifetimeArena> disk_arena =
             tryLoadArena(arena_path, error);

@@ -160,7 +160,7 @@ lintRegisterEvents(
 
 void
 lintDomainCoverage(const PhysicalArray &array,
-                   const LifetimeStore &store,
+                   const LifetimeArena &arena,
                    const ProtectionScheme &scheme,
                    const DomainLintOptions &opt, CheckReport &report)
 {
@@ -181,13 +181,14 @@ lintDomainCoverage(const PhysicalArray &array,
             if (pb.domain != invalidDomain)
                 continue;
             unsigned bit_in_word = 0;
-            const WordLifetime *life = store.findBit(
+            const std::uint32_t w = arena.findBit(
                 pb.container, pb.bitInContainer, bit_in_word);
-            if (!life)
+            if (w == LifetimeArena::noWord)
                 continue;
             bool ace = false;
-            for (const LifeSegment &s : life->segments())
-                ace |= bitAt(s.aceMask, bit_in_word);
+            for (std::uint32_t s = arena.offset(w);
+                 s < arena.offset(w) + arena.count(w); ++s)
+                ace |= bitAt(arena.masks()[s].ace, bit_in_word);
             if (!ace)
                 continue;
             report.error(
@@ -250,6 +251,15 @@ lintDomainCoverage(const PhysicalArray &array,
             }
         }
     }
+}
+
+void
+lintDomainCoverage(const PhysicalArray &array,
+                   const LifetimeStore &store,
+                   const ProtectionScheme &scheme,
+                   const DomainLintOptions &opt, CheckReport &report)
+{
+    lintDomainCoverage(array, LifetimeArena(store), scheme, opt, report);
 }
 
 } // namespace mbavf::analyze

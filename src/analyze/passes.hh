@@ -51,6 +51,7 @@
 #include "common/types.hh"
 #include "core/layout.hh"
 #include "core/lifetime.hh"
+#include "core/lifetime_arena.hh"
 #include "core/lifetime_builder.hh"
 #include "core/protection.hh"
 #include "trace/dataflow.hh"
@@ -84,7 +85,21 @@ struct DomainLintOptions
     unsigned coverModes = 4;
 };
 
-/** domain.uncovered and domain.mode-undetectable over @p array. */
+/**
+ * domain.uncovered and domain.mode-undetectable over @p array, with
+ * the ACE time of each bit read from @p arena.
+ */
+void lintDomainCoverage(const PhysicalArray &array,
+                        const LifetimeArena &arena,
+                        const ProtectionScheme &scheme,
+                        const DomainLintOptions &opt,
+                        CheckReport &report);
+
+/**
+ * lintDomainCoverage() on a snapshot of @p store. Kept only for the
+ * perfbench harness (perfbench/harness/trace_harness.cc), which
+ * calls it by name, until the benchmark runs the pipeline.
+ */
 void lintDomainCoverage(const PhysicalArray &array,
                         const LifetimeStore &store,
                         const ProtectionScheme &scheme,

@@ -96,122 +96,4 @@ lintArenaLifetimes(const LifetimeArena &arena,
     }
 }
 
-void
-lintLifetimeArena(const LifetimeArena &arena,
-                  const LifetimeStore &store, CheckReport &report)
-{
-    if (arena.wordWidth() != store.wordWidth() ||
-        arena.wordsPerContainer() != store.wordsPerContainer()) {
-        report.error("arena.config", "arena",
-                     "arena is " +
-                         std::to_string(arena.wordWidth()) + "x" +
-                         std::to_string(arena.wordsPerContainer()) +
-                         ", store is " +
-                         std::to_string(store.wordWidth()) + "x" +
-                         std::to_string(store.wordsPerContainer()));
-    }
-
-    lintArenaStructure(arena, report);
-
-    const std::size_t num_segments = arena.numSegments();
-
-    // Round trip, arena -> store: every arena word must trace back
-    // to a word that exists in the store (segment equality is
-    // checked in the store -> arena direction below).
-    for (std::uint32_t w = 0; w < arena.numWords(); ++w) {
-        auto it = store.containers().find(arena.wordContainer(w));
-        if (it == store.containers().end()) {
-            report.error("arena.stale-word", wordWhere(arena, w),
-                         "container absent from the store");
-        } else if (arena.wordIndex(w) >= it->second.words.size()) {
-            report.error("arena.stale-word", wordWhere(arena, w),
-                         "word index beyond the store container's " +
-                             std::to_string(it->second.words.size()) +
-                             " word(s)");
-        }
-    }
-
-    // Round trip, store -> arena: every non-empty store word must
-    // resolve to an arena word carrying exactly the same segments.
-    for (const auto &[id, container] : store.containers()) {
-        for (std::size_t word = 0; word < container.words.size();
-             ++word) {
-            const WordLifetime &life = container.words[word];
-            const std::string where =
-                "container " + std::to_string(id) + " word " +
-                std::to_string(word);
-            // findWord() answers noWord above the configured width;
-            // resolving such words through it would mask the
-            // lifetime.word-count finding, so they are pinned to
-            // noWord here and left to that check.
-            const std::uint32_t handle =
-                word < store.wordsPerContainer()
-                    ? arena.findWord(id,
-                                     static_cast<unsigned>(word))
-                    : LifetimeArena::noWord;
-            if (life.empty()) {
-                if (handle != LifetimeArena::noWord) {
-                    report.error("arena.stale-word", where,
-                                 "store word is empty but the arena "
-                                 "holds " +
-                                     std::to_string(
-                                         arena.count(handle)) +
-                                     " segment(s)");
-                }
-                continue;
-            }
-            if (handle == LifetimeArena::noWord) {
-                report.error("arena.missing-word", where,
-                             "non-empty store word has no arena "
-                             "handle");
-                continue;
-            }
-            if (arena.wordContainer(handle) != id ||
-                arena.wordIndex(handle) != word) {
-                report.error(
-                    "arena.missing-word", where,
-                    "handle resolves to container " +
-                        std::to_string(arena.wordContainer(handle)) +
-                        " word " +
-                        std::to_string(arena.wordIndex(handle)));
-                continue;
-            }
-            const auto &segs = life.segments();
-            if (arena.count(handle) != segs.size()) {
-                report.error(
-                    "arena.stale-word", where,
-                    "arena holds " +
-                        std::to_string(arena.count(handle)) +
-                        " segment(s), store has " +
-                        std::to_string(segs.size()));
-                continue;
-            }
-            const std::uint32_t base = arena.offset(handle);
-            for (std::size_t s = 0; s < segs.size(); ++s) {
-                const std::uint32_t slot =
-                    base + static_cast<std::uint32_t>(s);
-                if (slot >= num_segments)
-                    break; // already reported as arena.offset
-                if (arena.begins()[slot] != segs[s].begin ||
-                    arena.ends()[slot] != segs[s].end ||
-                    arena.masks()[slot].ace != segs[s].aceMask ||
-                    arena.masks()[slot].read != segs[s].readMask) {
-                    report.error("arena.stale-word",
-                                 where + " segment " +
-                                     std::to_string(s),
-                                 "arena segment differs from the "
-                                 "store (stale snapshot?)");
-                }
-                if (arena.tags()[slot] != segs[s].tag) {
-                    report.error("arena.stale-tag",
-                                 where + " segment " +
-                                     std::to_string(s),
-                                 "arena attribution tag differs from "
-                                 "the store (stale snapshot?)");
-                }
-            }
-        }
-    }
-}
-
 } // namespace mbavf

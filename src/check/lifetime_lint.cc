@@ -81,30 +81,10 @@ lintWordLifetime(const WordLifetime &word, unsigned word_width,
                              std::to_string(word_width));
         }
 
-        if (opts.requireAceSubsetRead && (seg.aceMask & ~seg.readMask)) {
+        if (seg.aceMask & ~seg.readMask) {
             report.error("lifetime.ace-not-read", segmentLoc(where, i),
                          "aceMask has bits outside readMask (AceLive "
                          "bits must be read out)");
-        }
-    }
-}
-
-void
-lintLifetimeStore(const LifetimeStore &store,
-                  const LifetimeLintOptions &opts, CheckReport &report)
-{
-    for (const auto &[id, container] : store.containers()) {
-        const std::string cloc = "container " + std::to_string(id);
-        if (container.words.size() != store.wordsPerContainer()) {
-            report.error("lifetime.word-count", cloc,
-                         std::to_string(container.words.size()) +
-                             " words, store configured for " +
-                             std::to_string(store.wordsPerContainer()));
-        }
-        for (std::size_t w = 0; w < container.words.size(); ++w) {
-            lintWordLifetime(container.words[w], store.wordWidth(),
-                             opts, cloc + " word " + std::to_string(w),
-                             report);
         }
     }
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Structural lint of ACE lifetime stores.
+ * Structural lint of ACE lifetimes, one word at a time.
  *
  * A WordLifetime is only meaningful when its segments are sorted,
  * disjoint, non-empty, and confined to the trace horizon, and when
@@ -9,6 +9,9 @@
  * construction of the backward pass). Violations make the overlap
  * classification in the MB-AVF engine (Eq. 2-7 of the paper) silently
  * wrong, so they are surfaced here as hard lint errors.
+ * lintArenaLifetimes() (check/arena_lint.hh) runs this lint over
+ * every word of a LifetimeArena, the one lifetime form the passes
+ * after the lifetime builder read.
  *
  * Codes reported:
  * - lifetime.backwards      segment with end < begin
@@ -18,7 +21,6 @@
  * - lifetime.horizon        segment extends past the trace horizon
  * - lifetime.mask-width     ace/read mask has bits >= word width
  * - lifetime.ace-not-read   aceMask bit outside readMask
- * - lifetime.word-count     container word count != store config
  */
 
 #ifndef MBAVF_CHECK_LIFETIME_LINT_HH
@@ -37,11 +39,6 @@ struct LifetimeLintOptions
 {
     /** End of the trace window; 0 disables the horizon check. */
     Cycle horizon = 0;
-    /**
-     * Enforce aceMask ⊆ readMask. On for builder-produced stores;
-     * turn off for hand-built stores that only model ACE bits.
-     */
-    bool requireAceSubsetRead = true;
 };
 
 /**
@@ -51,11 +48,6 @@ struct LifetimeLintOptions
 void lintWordLifetime(const WordLifetime &word, unsigned word_width,
                       const LifetimeLintOptions &opts,
                       const std::string &where, CheckReport &report);
-
-/** Lint every word of every container in @p store. */
-void lintLifetimeStore(const LifetimeStore &store,
-                       const LifetimeLintOptions &opts,
-                       CheckReport &report);
 
 } // namespace mbavf
 

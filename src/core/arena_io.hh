@@ -17,10 +17,11 @@
  * renamed over the destination, so readers never observe a torn
  * file. Loading validates the header, the section layout (with
  * overflow-checked arithmetic against the actual file size), and
- * every cross-array index before the arena is handed out; anything
- * suspect is rejected whole. Deeper semantic checks — segment
- * ordering, arena-vs-store staleness — remain the job of
- * `mbavf_lint --arena`.
+ * every cross-array index and each word's segment order before the
+ * arena is handed out; anything suspect is rejected whole. The
+ * lifetime rules the loader does not check — masks within the word
+ * width, aceMask within readMask, the recorded horizon — are the
+ * job of `mbavf_lint --arena=FILE`.
  *
  * The format is at version 2, whose last section is the per-segment
  * InstrTag attribution column; a file of any other version is

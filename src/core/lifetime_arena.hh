@@ -12,8 +12,9 @@
  * by a dense 32-bit handle instead of a pointer.
  *
  * The arena is a read-only snapshot: mutating the source store after
- * construction is not reflected (and is what `mbavf_lint --arena`
- * exists to catch). Word handles are assigned in ascending
+ * construction is not reflected. The pipeline frees the store once
+ * the snapshot is built, and every pass after the lifetime builder
+ * reads only the arena. Word handles are assigned in ascending
  * (container id, word index) order, so the layout is deterministic
  * for any given store content.
  *

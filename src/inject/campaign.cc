@@ -318,18 +318,6 @@ Campaign::trialSpec(std::uint64_t t, std::uint64_t base_seed,
     return spec;
 }
 
-InjectOutcome
-Campaign::inject(const std::vector<RegInjection> &flips) const
-{
-    return runOne(TrialSpec{flips, {}}).outcome;
-}
-
-InjectOutcome
-Campaign::injectMem(const std::vector<MemInjection> &flips) const
-{
-    return runOne(TrialSpec{{}, flips}).outcome;
-}
-
 RegInjection
 Campaign::sampleSingleBit(Rng &rng) const
 {

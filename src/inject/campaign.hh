@@ -191,26 +191,6 @@ class Campaign
     static std::string protectionError(const std::string &scheme_name,
                                        unsigned domain_bits);
 
-    /** Inject the given flips and classify the outcome. */
-    InjectOutcome inject(const std::vector<RegInjection> &flips) const;
-
-    /** Inject memory bit flips and classify the outcome. */
-    InjectOutcome
-    injectMem(const std::vector<MemInjection> &flips) const;
-
-    /** Single-flip convenience. */
-    InjectOutcome
-    inject(const RegInjection &flip) const
-    {
-        return inject(std::vector<RegInjection>{flip});
-    }
-
-    InjectOutcome
-    injectMem(const MemInjection &flip) const
-    {
-        return injectMem(std::vector<MemInjection>{flip});
-    }
-
     /**
      * Run one trial with full containment: traps classify
      * Crash/Hang, protection classifies Due, and any other exception

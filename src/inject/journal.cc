@@ -235,13 +235,6 @@ JournalWriter::JournalWriter(std::string path, JournalHeader header,
 }
 
 void
-JournalWriter::record(std::uint64_t index, const TrialResult &result)
-{
-    record(index, splitMix64(journal_.header.baseSeed, index), 0,
-           result);
-}
-
-void
 JournalWriter::record(std::uint64_t index, std::uint64_t seed,
                       std::uint32_t stratum,
                       const TrialResult &result)

@@ -148,12 +148,10 @@ class JournalWriter
                   std::uint64_t flush_every,
                   std::vector<JournalRecord> completed = {});
 
-    /** Deposit trial @p index's result; may flush. Thread-safe. */
-    void record(std::uint64_t index, const TrialResult &result);
-
     /**
-     * Stratified (version 2) deposit: the caller supplies the pick's
-     * seed and stratum instead of the splitMix64(base, index) stream.
+     * Deposit trial (or pick) @p index's result with the seed its
+     * site was drawn from and its stratum (0 when uniform); may
+     * flush. Thread-safe.
      */
     void record(std::uint64_t index, std::uint64_t seed,
                 std::uint32_t stratum, const TrialResult &result);

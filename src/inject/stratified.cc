@@ -41,19 +41,26 @@ overlaps(Cycle begin, Cycle end, Cycle win_start, Cycle win_end)
     return begin <= win_end && end >= win_start;
 }
 
+/**
+ * Floor on a sampled stratum's predicted spread, so level-one
+ * confidence can concentrate but never zero out sampling of a
+ * stratum the analysis cannot prove Masked.
+ */
+constexpr double predictedFloor = 0.02;
+
 double
-clampSpread(double p, double floor_p)
+clampSpread(double p)
 {
-    return std::min(std::max(p, floor_p), 1.0 - floor_p);
+    return std::min(std::max(p, predictedFloor), 1.0 - predictedFloor);
 }
 
 /** Predicted Wilson-ish half-width of a stratum at n trials. */
 double
-predictedHalf(double p, double floor_p, std::uint64_t n, double z)
+predictedHalf(double p, std::uint64_t n, double z)
 {
     if (n == 0)
         return 0.5; // vacuous [0,1] before the first trial
-    const double q = clampSpread(p, floor_p);
+    const double q = clampSpread(p);
     return z * std::sqrt(q * (1.0 - q) / static_cast<double>(n));
 }
 
@@ -126,7 +133,6 @@ Stratification::build(const Campaign &campaign,
 
     Stratification strat;
     strat.windows_ = options.windows;
-    strat.predictedFloor_ = options.predictedFloor;
     strat.goldenInstrs_ = campaign.goldenInstrs();
     strat.cusUsed_ = campaign.cusUsed();
     strat.geom_ = campaign.config().regs;
@@ -367,8 +373,7 @@ Stratification::build(const Campaign &campaign,
             if (st.skipped) {
                 strat.skippedWeight_ += span == 0 ? 0.0 : st.weight;
             } else {
-                const double q = clampSpread(
-                    st.predicted, strat.predictedFloor_);
+                const double q = clampSpread(st.predicted);
                 strat.scores_[std::uint64_t(c) * W + v] =
                     st.weight * std::sqrt(q * (1.0 - q));
             }
@@ -450,9 +455,8 @@ Stratification::budgetForTargetCi(double target_width,
     for (std::size_t i = 0; i < strata_.size(); ++i) {
         if (strata_[i].skipped || scores_[i] <= 0.0)
             continue;
-        const double term = strata_[i].weight *
-                            predictedHalf(strata_[i].predicted,
-                                          predictedFloor_, 0, z);
+        const double term =
+            strata_[i].weight * predictedHalf(strata_[i].predicted, 0, z);
         sum_sq += term * term;
     }
     for (std::uint64_t budget = 1; budget <= max_budget; ++budget) {
@@ -460,11 +464,8 @@ Stratification::budgetForTargetCi(double target_width,
         const Stratum &st = strata_[pick.stratum];
         const std::uint64_t n = ++counts[pick.stratum];
         const double before =
-            st.weight * predictedHalf(st.predicted, predictedFloor_,
-                                      n - 1, z);
-        const double after =
-            st.weight * predictedHalf(st.predicted, predictedFloor_,
-                                      n, z);
+            st.weight * predictedHalf(st.predicted, n - 1, z);
+        const double after = st.weight * predictedHalf(st.predicted, n, z);
         sum_sq += after * after - before * before;
         if (2.0 * std::sqrt(std::max(sum_sq, 0.0)) <= target_width)
             return budget;

@@ -62,12 +62,6 @@ struct StratifyOptions
      * soundness).
      */
     unsigned maxClasses = 64;
-    /**
-     * Floor on a sampled stratum's predicted spread, so level-one
-     * confidence can concentrate but never zero out sampling of a
-     * stratum the analysis cannot prove Masked.
-     */
-    double predictedFloor = 0.02;
 
     /** Why Stratification::build() rejects these options, or "". */
     std::string error() const;
@@ -197,7 +191,6 @@ class Stratification
   private:
     unsigned windows_ = 0;
     std::uint32_t numClasses_ = 0;
-    double predictedFloor_ = 0.02;
     double skippedWeight_ = 0.0;
     std::uint64_t hash_ = 0;
     std::uint64_t goldenInstrs_ = 0;

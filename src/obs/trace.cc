@@ -30,9 +30,8 @@ struct TraceEvent
 
 /**
  * Per-thread event buffer, registered with the global list on first
- * use. Buffers are never deallocated before process exit (thread
- * destructors only mark them quiescent), so the writer can snapshot
- * from any thread.
+ * use. Buffers live until the process exits, so the writer can
+ * snapshot a pool worker's events from any thread.
  */
 struct Buffer
 {
@@ -43,16 +42,22 @@ struct Buffer
 struct Collector
 {
     std::mutex mutex;
-    std::vector<Buffer *> buffers; // leaked on purpose: see Buffer
+    std::vector<Buffer *> buffers;
     std::chrono::steady_clock::time_point epoch =
         std::chrono::steady_clock::now();
 };
 
+/**
+ * Never destroyed: its list keeps every buffer reachable until the
+ * process exits, so a leak checker at exit finds no lost allocation,
+ * and a thread that still traces while static objects are destroyed
+ * finds the list intact.
+ */
 Collector &
 collector()
 {
-    static Collector instance;
-    return instance;
+    static Collector *instance = new Collector();
+    return *instance;
 }
 
 Buffer &

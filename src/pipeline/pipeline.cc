@@ -45,15 +45,17 @@ readLifetimes(const JobConfig &job, const std::string &arena_out,
         options.stores = job.structure == "l2"     ? AceStore::L2
                          : job.structure == "vgpr" ? AceStore::Vgpr
                                                    : AceStore::L1;
-        AceRun run = runAceAnalysis(job.workload, options);
+        // The run, and with it the store, is freed at the end of
+        // this block: the word-width check, --arena-out and every
+        // sweep read only the arena.
+        const AceRun run = runAceAnalysis(job.workload, options);
         out.horizon = run.horizon;
         out.l1Stats = run.l1Stats;
         out.l2Stats = run.l2Stats;
-        out.store = std::move(job.structure == "l2"     ? run.l2
-                              : job.structure == "vgpr" ? run.vgpr
-                                                        : run.l1);
         obs::ObsPhase phase("arena.flatten");
-        out.arena = LifetimeArena(out.store);
+        out.arena = LifetimeArena(job.structure == "l2"     ? run.l2
+                                  : job.structure == "vgpr" ? run.vgpr
+                                                            : run.l1);
     }
 
     // Guard against pairing saved lifetimes with the wrong

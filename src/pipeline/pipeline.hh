@@ -6,7 +6,9 @@
  * or a trial plan and campaign tallies. `mbavf`, `mbavf_serve`
  * shards and `mbavf_analyze` call these functions, so a sweep or a
  * campaign job means the same thing in every tool; the tools keep
- * only their flags, their per-trial hooks and their printing.
+ * only their flags, their per-trial hooks and their printing. A
+ * job's lifetimes are one arena: the lifetime builder's store is
+ * flattened once and freed, and nothing after it reads a store.
  */
 
 #ifndef MBAVF_PIPELINE_PIPELINE_HH
@@ -20,7 +22,6 @@
 #include <vector>
 
 #include "core/layout.hh"
-#include "core/lifetime.hh"
 #include "core/lifetime_arena.hh"
 #include "core/mbavf.hh"
 #include "core/protection.hh"
@@ -41,13 +42,9 @@ struct Lifetimes
     /** Horizon of the run the lifetimes come from. */
     Cycle horizon = 0;
     /**
-     * The workload run's store, for the store-based lints and the
-     * reference engine; empty when read from an arena.
-     */
-    LifetimeStore store{8, 64};
-    /**
-     * What every sweep and attribution reads: the mapped job.arenaIn
-     * file, or store flattened once. --arena-out saves this snapshot.
+     * What every sweep, lint and attribution reads: the mapped
+     * job.arenaIn file, or the workload run's store flattened once.
+     * --arena-out saves this snapshot.
      */
     LifetimeArena arena;
     /** Cache statistics of the workload run (zero for arenas). */
@@ -57,12 +54,12 @@ struct Lifetimes
 
 /**
  * Read @p job's lifetimes into @p out: map job.arenaIn, or run
- * job.workload with the ACE probes, build job.structure's store only
- * and flatten it once into out.arena. A non-empty @p arena_out saves
- * out.arena to the arena file (core/arena_io.hh); @p capture, when
- * non-null, receives the run's program capture. False + @p error on
- * an unusable arena file, or when the lifetime word width does not
- * match the structure.
+ * job.workload with the ACE probes, build job.structure's store only,
+ * flatten it once into out.arena and free it. A non-empty
+ * @p arena_out saves out.arena to the arena file (core/arena_io.hh);
+ * @p capture, when non-null, receives the run's program capture.
+ * False + @p error on an unusable arena file, or when the lifetime
+ * word width does not match the structure.
  */
 bool readLifetimes(const JobConfig &job, const std::string &arena_out,
                    Lifetimes &out, std::string &error,

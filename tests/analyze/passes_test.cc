@@ -209,22 +209,23 @@ class FlatArray : public PhysicalArray
     unsigned domainBits_;
 };
 
-LifetimeStore
-aceStore(std::uint64_t bits)
+/** One one-bit container per bit, ACE for cycles [0, 10). */
+LifetimeArena
+aceArena(std::uint64_t bits)
 {
     LifetimeStore store(1, 1);
     for (std::uint64_t b = 0; b < bits; ++b)
         store.container(b).words[0].append({0, 10, 1, 1});
-    return store;
+    return LifetimeArena(store);
 }
 
 TEST(AnalyzePasses, UncoveredFires)
 {
     HoleyArray array(2);
-    LifetimeStore store = aceStore(2);
+    const LifetimeArena arena = aceArena(2);
     const auto scheme = makeScheme("secded");
     CheckReport report;
-    analyze::lintDomainCoverage(array, store, *scheme, {}, report);
+    analyze::lintDomainCoverage(array, arena, *scheme, {}, report);
     EXPECT_EQ(report.countOf("domain.uncovered"), 1u);
 }
 
@@ -237,7 +238,8 @@ TEST(AnalyzePasses, UncoveredNeedsAceTime)
     store.container(1).words[0].append({0, 10, 1, 1});
     const auto scheme = makeScheme("secded");
     CheckReport report;
-    analyze::lintDomainCoverage(array, store, *scheme, {}, report);
+    analyze::lintDomainCoverage(array, LifetimeArena(store), *scheme, {},
+                                report);
     EXPECT_FALSE(report.has("domain.uncovered"));
 }
 
@@ -246,10 +248,10 @@ TEST(AnalyzePasses, NoProtectionClaimSkipsDomainPasses)
     // scheme "none" never detects anything: there is no coverage to
     // have gaps in, so neither domain code may fire.
     HoleyArray array(2);
-    LifetimeStore store = aceStore(2);
+    const LifetimeArena arena = aceArena(2);
     const auto scheme = makeScheme("none");
     CheckReport report;
-    analyze::lintDomainCoverage(array, store, *scheme, {}, report);
+    analyze::lintDomainCoverage(array, arena, *scheme, {}, report);
     EXPECT_EQ(report.errorCount(), 0u);
 }
 
@@ -258,10 +260,10 @@ TEST(AnalyzePasses, ModeUndetectableFires)
     // Two adjacent bits share one parity domain: a 2x1 fault puts an
     // even flip count into it, which parity cannot detect.
     FlatArray array(4, 2);
-    LifetimeStore store = aceStore(4);
+    const LifetimeArena arena = aceArena(4);
     const auto scheme = makeScheme("parity");
     CheckReport report;
-    analyze::lintDomainCoverage(array, store, *scheme, {}, report);
+    analyze::lintDomainCoverage(array, arena, *scheme, {}, report);
     EXPECT_GE(report.countOf("domain.mode-undetectable"), 1u);
 }
 
@@ -270,12 +272,12 @@ TEST(AnalyzePasses, ModeUndetectableDedupesPerModeAndCount)
     // Every anchor of the 4-bit row repeats the same (mode, flips)
     // hole; the pass reports each distinct pair once.
     FlatArray array(4, 2);
-    LifetimeStore store = aceStore(4);
+    const LifetimeArena arena = aceArena(4);
     const auto scheme = makeScheme("parity");
     analyze::DomainLintOptions opt;
     opt.coverModes = 2;
     CheckReport report;
-    analyze::lintDomainCoverage(array, store, *scheme, opt, report);
+    analyze::lintDomainCoverage(array, arena, *scheme, opt, report);
     EXPECT_EQ(report.countOf("domain.mode-undetectable"), 1u);
 }
 
@@ -285,18 +287,18 @@ TEST(AnalyzePasses, ModeUndetectableRespectsCoverBudget)
     // first undetectable pattern needs mode 3, so a cover budget of 2
     // must stay clean and a budget of 3 must fire.
     FlatArray array(6, 3);
-    LifetimeStore store = aceStore(6);
+    const LifetimeArena arena = aceArena(6);
     const auto scheme = makeScheme("secded");
     analyze::DomainLintOptions narrow;
     narrow.coverModes = 2;
     CheckReport clean;
-    analyze::lintDomainCoverage(array, store, *scheme, narrow, clean);
+    analyze::lintDomainCoverage(array, arena, *scheme, narrow, clean);
     EXPECT_EQ(clean.errorCount(), 0u);
 
     analyze::DomainLintOptions wide;
     wide.coverModes = 3;
     CheckReport report;
-    analyze::lintDomainCoverage(array, store, *scheme, wide, report);
+    analyze::lintDomainCoverage(array, arena, *scheme, wide, report);
     EXPECT_EQ(report.countOf("domain.mode-undetectable"), 1u);
 }
 

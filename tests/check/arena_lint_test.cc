@@ -1,8 +1,8 @@
 /**
  * @file
  * Arena lint tests: a faithful snapshot is clean; malformed source
- * segments and post-build store mutations are flagged; the lifetime
- * rules that arena files get (masks, horizon) fire on arena words.
+ * segments are flagged; the lifetime rules (masks, horizon) fire on
+ * arena words.
  */
 
 #include <gtest/gtest.h>
@@ -29,10 +29,10 @@ smallStore()
 
 TEST(ArenaLint, FaithfulSnapshotIsClean)
 {
-    LifetimeStore store = smallStore();
-    LifetimeArena arena(store);
+    const LifetimeArena arena(smallStore());
     CheckReport report;
-    lintLifetimeArena(arena, store, report);
+    lintArenaStructure(arena, report);
+    lintArenaLifetimes(arena, {}, report);
     EXPECT_TRUE(report.clean());
 }
 
@@ -43,42 +43,10 @@ TEST(ArenaLint, FlagsMalformedSourceSegments)
     // path lands in the arena verbatim and breaks its ordering
     // invariant.
     store.container(4).words[0].appendUnchecked({4, 12, 0x01, 0x01});
-    LifetimeArena arena(store);
+    const LifetimeArena arena(store);
     CheckReport report;
-    lintLifetimeArena(arena, store, report);
+    lintArenaStructure(arena, report);
     EXPECT_TRUE(report.has("arena.segment-order"));
-}
-
-TEST(ArenaLint, FlagsStoreMutatedAfterBuild)
-{
-    LifetimeStore store = smallStore();
-    LifetimeArena arena(store);
-    // Extending an existing word desynchronizes its segment list.
-    store.container(4).words[0].append({20, 30, 0x01, 0x01});
-    CheckReport report;
-    lintLifetimeArena(arena, store, report);
-    EXPECT_TRUE(report.has("arena.stale-word"));
-}
-
-TEST(ArenaLint, FlagsWordAddedAfterBuild)
-{
-    LifetimeStore store = smallStore();
-    LifetimeArena arena(store);
-    // A word populated after the snapshot is invisible to the arena.
-    store.container(9).words[1].append({0, 4, 0x01, 0x01});
-    CheckReport report;
-    lintLifetimeArena(arena, store, report);
-    EXPECT_TRUE(report.has("arena.missing-word"));
-}
-
-TEST(ArenaLint, FlagsConfigMismatch)
-{
-    LifetimeStore store = smallStore();
-    LifetimeArena arena(store);
-    LifetimeStore other(16, 2);
-    CheckReport report;
-    lintLifetimeArena(arena, other, report);
-    EXPECT_TRUE(report.has("arena.config"));
 }
 
 TEST(ArenaLint, LifetimeRulesFlagMasksWiderThanTheWord)

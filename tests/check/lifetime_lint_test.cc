@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "check/arena_lint.hh"
 #include "check/lifetime_lint.hh"
 #include "check/report.hh"
 #include "core/lifetime.hh"
+#include "core/lifetime_arena.hh"
 
 namespace mbavf
 {
@@ -94,21 +96,6 @@ TEST(LifetimeLint, FlagsAceBitsOutsideReadMask)
     CheckReport report;
     lintWordLifetime(word, 8, {}, "w", report);
     EXPECT_TRUE(report.has("lifetime.ace-not-read"));
-
-    LifetimeLintOptions opts;
-    opts.requireAceSubsetRead = false;
-    CheckReport relaxed;
-    lintWordLifetime(word, 8, opts, "w", relaxed);
-    EXPECT_TRUE(relaxed.clean());
-}
-
-TEST(LifetimeLint, StoreFlagsWordCountMismatch)
-{
-    LifetimeStore store(8, 4);
-    store.container(7).words.resize(2);
-    CheckReport report;
-    lintLifetimeStore(store, {}, report);
-    EXPECT_TRUE(report.has("lifetime.word-count"));
 }
 
 TEST(LifetimeLint, StoreLintsEveryWord)
@@ -121,7 +108,7 @@ TEST(LifetimeLint, StoreLintsEveryWord)
     c.words[1].appendUnchecked({10, 20, 0, 1});
     c.words[1].appendUnchecked({25, 30, 0, 1});
     CheckReport report;
-    lintLifetimeStore(store, {}, report);
+    lintArenaLifetimes(LifetimeArena(store), {}, report);
     EXPECT_EQ(report.countOf("lifetime.overlap"), 1u);
     EXPECT_EQ(report.errorCount(), 1u);
 }

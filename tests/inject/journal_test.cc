@@ -196,22 +196,25 @@ TEST(Journal, WriterKeepsContiguousPrefixOnDisk)
     header.trials = 5;
     JournalWriter writer(path, header, 1);
 
-    const TrialResult masked{InjectOutcome::Masked, ""};
+    const auto record_masked = [&](std::uint64_t t) {
+        writer.record(t, splitMix64(header.baseSeed, t), 0,
+                      {InjectOutcome::Masked, ""});
+    };
     // Trial 2 completes first: nothing contiguous yet, but the
     // flush interval of 1 means any prefix growth hits the disk.
-    writer.record(2, masked);
-    writer.record(0, masked);
+    record_masked(2);
+    record_masked(0);
     CampaignJournal snap;
     std::string error;
     ASSERT_TRUE(CampaignJournal::load(path, snap, error)) << error;
     EXPECT_EQ(snap.records.size(), 1u); // only trial 0 is contiguous
 
-    writer.record(1, masked); // unlocks 0-2
+    record_masked(1); // unlocks 0-2
     ASSERT_TRUE(CampaignJournal::load(path, snap, error)) << error;
     EXPECT_EQ(snap.records.size(), 3u);
 
-    writer.record(4, masked);
-    writer.record(3, masked);
+    record_masked(4);
+    record_masked(3);
     writer.finish();
     ASSERT_TRUE(CampaignJournal::load(path, snap, error)) << error;
     EXPECT_EQ(snap.records.size(), 5u);
@@ -234,8 +237,10 @@ TEST(Journal, WriterResumesFromCompletedPrefix)
         header, 1, InjectOutcome::Crash, trapcode::memAlign));
 
     JournalWriter writer(path, header, 1, first.records);
-    writer.record(2, {InjectOutcome::Masked, ""});
-    writer.record(3, {InjectOutcome::Masked, ""});
+    for (std::uint64_t t = 2; t < 4; ++t) {
+        writer.record(t, splitMix64(header.baseSeed, t), 0,
+                      {InjectOutcome::Masked, ""});
+    }
     writer.finish();
 
     CampaignJournal loaded;
@@ -361,8 +366,10 @@ TEST(Journal, ResumedCampaignIsBitIdenticalToStraightRun)
     {
         JournalWriter writer(straight, header, 4);
         plan.run(0, 24, tallies,
-                 [&](std::uint64_t t, std::uint64_t, std::uint32_t,
-                     const TrialResult &r) { writer.record(t, r); });
+                 [&](std::uint64_t t, std::uint64_t seed,
+                     std::uint32_t stratum, const TrialResult &r) {
+                     writer.record(t, seed, stratum, r);
+                 });
         writer.finish();
     }
     CampaignJournal full;
@@ -375,8 +382,10 @@ TEST(Journal, ResumedCampaignIsBitIdenticalToStraightRun)
     {
         JournalWriter writer(resumed, header, 4, std::move(half));
         plan.run(12, 12, tallies,
-                 [&](std::uint64_t t, std::uint64_t, std::uint32_t,
-                     const TrialResult &r) { writer.record(t, r); });
+                 [&](std::uint64_t t, std::uint64_t seed,
+                     std::uint32_t stratum, const TrialResult &r) {
+                     writer.record(t, seed, stratum, r);
+                 });
         writer.finish();
     }
     EXPECT_EQ(fileBytes(straight), fileBytes(resumed));

@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the pipeline: readLifetimes() leaves one arena, the
- * snapshot of the run's store that --arena-out saves; runSweep()
+ * snapshot of the builder's store that --arena-out saves; runSweep()
  * sweeps it bit-identically to a fresh snapshot and folds its mode
  * sweep into the structure SER at the job's total FIT; attribution
- * over it returns the Mx1 result of the per-group reference engine.
+ * over it returns the Mx1 result of the per-group reference engine
+ * on the builder's store.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/arena_io.hh"
 #include "gpu/gpu.hh"
 #include "pipeline/pipeline.hh"
+#include "workloads/ace_runner.hh"
 
 namespace mbavf
 {
@@ -81,6 +83,16 @@ histogramJob(const std::string &structure)
     return job;
 }
 
+/** The builder's store of @p job's structure, from a fresh run. */
+LifetimeStore
+builderStore(const JobConfig &job)
+{
+    const bool vgpr = job.structure == "vgpr";
+    AceRun run = runAceAnalysis(job.workload, job.scale, GpuConfig{},
+                                vgpr ? AceStore::Vgpr : AceStore::L1);
+    return std::move(vgpr ? run.vgpr : run.l1);
+}
+
 class PipelineArena : public ::testing::TestWithParam<std::string>
 {};
 
@@ -92,7 +104,7 @@ TEST_P(PipelineArena, ReadLifetimesLeavesTheStoreSnapshot)
     Lifetimes lifetimes;
     ASSERT_TRUE(readLifetimes(job, "", lifetimes, error)) << error;
     ASSERT_GT(lifetimes.arena.numSegments(), 0u);
-    expectSameColumns(LifetimeArena(lifetimes.store), lifetimes.arena);
+    expectSameColumns(LifetimeArena(builderStore(job)), lifetimes.arena);
 }
 
 TEST_P(PipelineArena, ArenaOutSavesTheSameColumns)
@@ -110,7 +122,7 @@ TEST_P(PipelineArena, ArenaOutSavesTheSameColumns)
     std::remove(path.c_str());
     ASSERT_TRUE(saved) << error;
     EXPECT_EQ(horizon, lifetimes.horizon);
-    expectSameColumns(LifetimeArena(lifetimes.store), *saved);
+    expectSameColumns(lifetimes.arena, *saved);
 }
 
 TEST_P(PipelineArena, RunSweepEqualsTheSnapshotSweep)
@@ -123,7 +135,7 @@ TEST_P(PipelineArena, RunSweepEqualsTheSnapshotSweep)
 
     const SweepResult result = runSweep(job, design, lifetimes);
     const ModeSweep snapshot =
-        sweepModesArena(*design.array, LifetimeArena(lifetimes.store),
+        sweepModesArena(*design.array, LifetimeArena(builderStore(job)),
                         *design.scheme, design.options, job.modes);
     ASSERT_EQ(result.sweep.results.size(), job.modes);
     ASSERT_EQ(snapshot.results.size(), job.modes);
@@ -141,6 +153,7 @@ TEST_P(PipelineArena, AttributionReturnsTheReferenceResult)
     Lifetimes lifetimes;
     ASSERT_TRUE(readLifetimes(job, "", lifetimes, error)) << error;
     const Design design = makeDesign(job, lifetimes.horizon);
+    const LifetimeStore store = builderStore(job);
 
     for (const unsigned m : {1u, 4u}) {
         SCOPED_TRACE("mode " + std::to_string(m) + "x1");
@@ -152,8 +165,8 @@ TEST_P(PipelineArena, AttributionReturnsTheReferenceResult)
         MbAvfOptions whole_run = design.options;
         whole_run.numWindows = 0;
         const MbAvfResult reference =
-            computeMbAvf(*design.array, lifetimes.store, *design.scheme,
-                         mode, whole_run);
+            computeMbAvf(*design.array, store, *design.scheme, mode,
+                         whole_run);
         EXPECT_GT(reference.avf.total(), 0.0);
         expectSameResult(reference, attr.mbavf);
         EXPECT_EQ(analyze::checkConservation(attr, attr.mbavf), "");
@@ -176,16 +189,17 @@ TEST(Sweep, OneCallSerMatchesManual)
 
     // Synthetic lifetimes instead of a workload run: every third
     // byte of the first 16 L1 lines is ACE for a stretch of the run.
-    Lifetimes lifetimes;
-    lifetimes.horizon = 1000;
+    LifetimeStore store(8, 64);
     for (std::uint64_t line = 0; line < 16; ++line) {
-        ContainerLifetime &container = lifetimes.store.container(line);
+        ContainerLifetime &container = store.container(line);
         for (unsigned w = 0; w < 64; w += 3) {
             container.words[w].append(
                 {10 * line, 500 + 20 * line, 0xFF, 0xFF});
         }
     }
-    lifetimes.arena = LifetimeArena(lifetimes.store);
+    Lifetimes lifetimes;
+    lifetimes.horizon = 1000;
+    lifetimes.arena = LifetimeArena(store);
 
     const SweepResult result = runSweep(
         job, makeDesign(job, lifetimes.horizon), lifetimes);

@@ -10,10 +10,11 @@
  * 1. Program-flow lint over the run's dataflow trace and raw
  *    register event logs: flow.dead-def, flow.masked-output,
  *    flow.overwrite, flow.uninit-read (analyze/passes.hh).
- * 2. Protection-coverage lint over the chosen structure's layout:
- *    domain.uncovered, domain.mode-undetectable.
+ * 2. Protection-coverage lint over the chosen structure's layout and
+ *    the pipeline's arena: domain.uncovered,
+ *    domain.mode-undetectable.
  * 3. Per-instruction MB-AVF attribution (analyze/attribution.hh)
- *    over the pipeline's arena: every non-unACE group-cycle of the
+ *    over the same arena: every non-unACE group-cycle of the
  *    chosen fault mode is charged to the static instruction whose
  *    write produced the data at risk, and the conservation checker
  *    asserts the per-instruction integer sums equal the class totals
@@ -204,8 +205,7 @@ main(int argc, char **argv)
         std::cerr << "mbavf_analyze: " << error << "\n";
         return 1;
     }
-    // The coverage lint reads the store; attribution sweeps the arena.
-    const LifetimeStore &life = lifetimes.store;
+    const LifetimeArena &arena = lifetimes.arena;
     const Cycle horizon = lifetimes.horizon;
 
     CheckReport report;
@@ -257,24 +257,24 @@ main(int argc, char **argv)
     domain_opts.coverModes = cover_modes;
     if (corruption == "uncovered") {
         UncoveredArray bad(array);
-        analyze::lintDomainCoverage(bad, life, scheme, domain_opts,
+        analyze::lintDomainCoverage(bad, arena, scheme, domain_opts,
                                     report);
     } else if (corruption == "mode-undetectable") {
         // Parity over an interleaved layout misses every even flip
         // count; modes >= interleave + 1 land two flips in one
         // domain and must be reported.
         auto parity = makeScheme("parity");
-        analyze::lintDomainCoverage(array, life, *parity, domain_opts,
+        analyze::lintDomainCoverage(array, arena, *parity, domain_opts,
                                     report);
     } else {
-        analyze::lintDomainCoverage(array, life, scheme, domain_opts,
+        analyze::lintDomainCoverage(array, arena, scheme, domain_opts,
                                     report);
     }
 
     // --- Layer 3: attribution + conservation -------------------------
     const FaultMode mode = FaultMode::mx1(mode_size);
     analyze::AttributionResult attr = analyze::attributeMbAvf(
-        array, lifetimes.arena, scheme, mode, design.options);
+        array, arena, scheme, mode, design.options);
 
     if (corruption == "conservation") {
         // One stray cycle breaks the partition; the checker must see

@@ -22,25 +22,21 @@
  *       by `mbavf --arena-out` (core/arena_io.hh)
  *   mbavf_lint --geometry-only               lint geometry combos only
  *
- * --arena additionally flattens each linted store into the sweep
- * kernel's LifetimeArena and checks the arena against its source:
- * offsets contiguous-monotone, per-word segments sorted and
- * disjoint, and an exact store <-> arena round trip.
- *
- * In --arena=FILE mode the loader's byte-level rejections surface as
- * `arena.file` (exit 2, unusable input), and a file that maps
- * cleanly gets the structure-only layout lint plus the lifetime lint
- * of every word against the file's recorded horizon — there is no
- * source store to round-trip against.
+ * Lifetimes are linted in the one form every pass after the lifetime
+ * builder reads, the arena (check/arena_lint.hh): --workload flattens
+ * each of the run's stores and --arena=FILE maps the file, and both
+ * run the layout lint and the lifetime lint of every word against
+ * the horizon. In --arena=FILE mode the loader's byte-level
+ * rejections surface as `arena.file` (exit 2, unusable input). A
+ * bare --arena names no file and is rejected.
  *
  * Exit codes: 0 = clean (warnings allowed), 1 = lint errors,
  * 2 = unusable input (bad file, bad arguments).
  *
- * --seed-corruption=overlap|read-before-fill|straddle|stale-arena|
- * arena-file deliberately corrupts the analyzed artifact first; the
- * regression suite uses it to pin each diagnostic and its exit code.
- * stale-arena (requires --arena) mutates the store after the arena
- * snapshot is built, so the round-trip check must fire. arena-file
+ * --seed-corruption=overlap|read-before-fill|straddle|arena-file
+ * deliberately corrupts the analyzed artifact first; the regression
+ * suite uses it to pin each diagnostic and its exit code. overlap
+ * corrupts the L1 store before it is flattened. arena-file
  * (requires --arena=FILE) lints a magic-smashed copy of the file,
  * which the loader must reject.
  */
@@ -85,8 +81,6 @@ usage()
         "  --scale=N            workload problem-size multiplier\n"
         "  --modes=M            geometry lint covers 1x1..Mx1, M in\n"
         "                       1..64 (4)\n"
-        "  --arena              also lint the flattened LifetimeArena\n"
-        "                       of every linted store\n"
         "  --arena=FILE         lint an arena file written by\n"
         "                       `mbavf --arena-out` (layout and\n"
         "                       lifetime checks; loader rejections\n"
@@ -94,7 +88,6 @@ usage()
         "  --max-findings=N     stored findings per code (16)\n"
         "  --seed-corruption=K  corrupt the artifact first; K is\n"
         "                       overlap | read-before-fill | straddle\n"
-        "                       | stale-arena (needs --arena)\n"
         "                       | arena-file (needs --arena=FILE)\n"
         "  --version            print build info and exit\n"
         "\n--journal validates a campaign checkpoint (inject/journal):\n"
@@ -179,22 +172,16 @@ lintGeometry(const GpuConfig &config, unsigned max_mode,
 }
 
 /**
- * Flatten @p store into an arena snapshot and lint it against the
- * store. With @p stale_after, the store is corrupted after the
- * snapshot is built — the round-trip check must then fire.
+ * The layout lint and the lifetime lint of every word of @p arena;
+ * a @p horizon of 0 disables the horizon check.
  */
-bool
-lintArenaOf(LifetimeStore &store, const std::string &label,
-            bool stale_after, CheckReport &report)
+void
+lintArena(const LifetimeArena &arena, Cycle horizon, CheckReport &report)
 {
-    LifetimeArena arena(store);
-    if (stale_after && !seedOverlap(store))
-        return false;
-    std::cout << "linted arena of " << label << ": "
-              << arena.numWords() << " word(s), "
-              << arena.numSegments() << " segment(s)\n";
-    lintLifetimeArena(arena, store, report);
-    return true;
+    lintArenaStructure(arena, report);
+    LifetimeLintOptions opts;
+    opts.horizon = horizon;
+    lintArenaLifetimes(arena, opts, report);
 }
 
 int
@@ -285,21 +272,17 @@ main(int argc, char **argv)
         args.getString("seed-corruption", "");
     if (!corruption.empty() && corruption != "overlap" &&
         corruption != "read-before-fill" &&
-        corruption != "straddle" && corruption != "stale-arena" &&
-        corruption != "arena-file") {
+        corruption != "straddle" && corruption != "arena-file") {
         std::cerr << "mbavf_lint: unknown corruption '" << corruption
                   << "'\n";
         return 2;
     }
-    // Bare --arena parses as the value "1" (legacy store-companion
-    // mode); any other value names an arena file to lint on its own.
-    const std::string arena_value = args.getString("arena", "");
-    const std::string arena_file =
-        arena_value == "1" ? "" : arena_value;
-    const bool lint_arena = arena_file.empty() && args.getBool("arena");
-    if (corruption == "stale-arena" && !lint_arena) {
-        std::cerr << "mbavf_lint: --seed-corruption=stale-arena "
-                     "needs --arena\n";
+    // A bare --arena parses as the value "1"; it, like --arena=,
+    // names no file.
+    const std::string arena_file = args.getString("arena", "");
+    if (args.has("arena") && (arena_file.empty() || arena_file == "1")) {
+        std::cerr << "mbavf_lint: --arena needs =FILE, the arena file "
+                     "to lint\n";
         return 2;
     }
     if (corruption == "arena-file" && arena_file.empty()) {
@@ -352,17 +335,13 @@ main(int argc, char **argv)
         std::cout << "linted arena file " << arena_file << ": "
                   << arena->numWords() << " word(s), "
                   << arena->numSegments() << " segment(s)\n";
-        lintArenaStructure(*arena, report);
         // As in --workload mode, cache lifetimes may legitimately
         // run a DRAM latency past the horizon (the end-of-run flush
         // fills the L2). The file does not say which cache level it
         // holds, so every byte-word arena gets that allowance.
-        LifetimeLintOptions opts;
-        if (horizon != 0) {
-            opts.horizon = horizon +
-                (arena->wordWidth() == 8 ? GpuConfig{}.dramLatency : 0);
-        }
-        lintArenaLifetimes(*arena, opts, report);
+        if (horizon != 0 && arena->wordWidth() == 8)
+            horizon += GpuConfig{}.dramLatency;
+        lintArena(*arena, horizon, report);
         return finish(report);
     }
 
@@ -422,28 +401,14 @@ main(int argc, char **argv)
         events.insert(events.begin(), bogus);
     }
 
-    // Lifetime lint. The end-of-run flush pushes L1 write-backs into
-    // the L2, whose fills complete at horizon + DRAM latency; the L2
-    // store's lifetimes legitimately extend that far.
-    LifetimeLintOptions l1_opts;
-    l1_opts.horizon = run.horizon;
-    lintLifetimeStore(run.l1, l1_opts, report);
-    lintLifetimeStore(run.vgpr, l1_opts, report);
-    LifetimeLintOptions l2_opts;
-    l2_opts.horizon = run.horizon + options.config.dramLatency;
-    lintLifetimeStore(run.l2, l2_opts, report);
-
-    // Arena lint: the flattened snapshot the multi-mode sweep kernel
-    // actually reads must mirror each store exactly.
-    if (lint_arena) {
-        if (!lintArenaOf(run.l1, "l1", corruption == "stale-arena",
-                         report)) {
-            std::cerr << "mbavf_lint: no lifetime to corrupt\n";
-            return 2;
-        }
-        lintArenaOf(run.vgpr, "vgpr", false, report);
-        lintArenaOf(run.l2, "l2", false, report);
-    }
+    // Lifetime lint, on each store's arena snapshot: what every pass
+    // after the builder reads. The end-of-run flush pushes L1
+    // write-backs into the L2, whose fills complete at horizon + DRAM
+    // latency; the L2's lifetimes legitimately extend that far.
+    lintArena(LifetimeArena(run.l1), run.horizon, report);
+    lintArena(LifetimeArena(run.vgpr), run.horizon, report);
+    lintArena(LifetimeArena(run.l2),
+              run.horizon + options.config.dramLatency, report);
 
     // Event-stream lint.
     lintCacheEvents(l1_recorder.trace(), report);
